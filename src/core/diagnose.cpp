@@ -72,10 +72,9 @@ Diagnosis diagnose(const SymbolicProtocol& sp, const StrongResult& result,
               sp.enc().stateBdd(s0) & sp.onNext(sp.enc().stateBdd(s1));
           const Bdd group = sp.groupExpand(j, member);
           pool = pool.minus(group);
-          if (symbolic::certainlyAcyclicIncrement(sp, result.relation, group,
-                                                  notI) ||
-              !symbolic::hasCycle(
-                  sp, sp.restrictRel(result.relation | group, notI), notI)) {
+          const symbolic::ImageEngine combined(sp, result.relation | group);
+          const Bdd cone = symbolic::cycleCone(combined, group, notI);
+          if (cone.isFalse() || !symbolic::hasCycle(combined, cone)) {
             return true;
           }
           if ((pool & sB).isFalse()) break;

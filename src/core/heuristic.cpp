@@ -1,7 +1,5 @@
 #include "core/heuristic.hpp"
 
-#include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
 
@@ -31,14 +29,6 @@ const char* toString(Failure f) {
 }
 
 namespace {
-
-/// STSYN_TRACE=1 echoes per-SCC-detection diagnostics to stderr (the
-/// structured copy always goes to the tracer). Cached: the synthesis loop
-/// used to call getenv on every detection.
-bool traceEnvEnabled() {
-  static const bool on = std::getenv("STSYN_TRACE") != nullptr;
-  return on;
-}
 
 /// Mutable synthesis state threaded through the passes. All fixpoints run
 /// through ImageEngines over the per-process parts of pss, so the policy
@@ -75,8 +65,10 @@ class Synthesizer {
   /// (that would change delta_p|I) — fail. Other participating groups are
   /// removed; Problem III.1 only freezes delta_pss|I, and the resulting
   /// deadlocks are the passes' job to resolve.
+  /// Detection scans all of ¬I here: the passes' acyclicity invariant that
+  /// lets them restrict it to a cycle cone does not hold yet.
   [[nodiscard]] bool removePreexistingCycles() {
-    const symbolic::SccResult sccs = detectSccs(*engine_);
+    const symbolic::SccResult sccs = detectSccs(*engine_, notI_);
     for (const Bdd& c : sccs.components) {
       const Bdd inC = c & sp_.onNext(c);
       for (std::size_t j = 0; j < sp_.processCount(); ++j) {
@@ -107,7 +99,8 @@ class Synthesizer {
   /// StrongOptions::greedyCycleResolution): for each process in schedule
   /// order, enumerate the C1-allowed groups leaving a remaining deadlock
   /// state and add them one at a time, keeping a group only if the union
-  /// stays acyclic outside I. Returns true when no deadlock remains.
+  /// stays acyclic outside I (checked inside the group's cycle cone only).
+  /// Returns true when no deadlock remains.
   bool greedyResolve() {
     for (std::size_t idx = 0; idx < schedule_.size(); ++idx) {
       const std::size_t j = schedule_[idx];
@@ -129,9 +122,9 @@ class Synthesizer {
           obs::AccumSpan timeIt(stats_.sccSeconds, "greedy_cycle_check",
                                 "scc");
           const ImageEngine candidate = withGroups(j, group);
-          cyclic = !symbolic::certainlyAcyclicIncrement(
-                       candidate, group, notI_, &stats_.sccSymbolicSteps) &&
-                   symbolic::hasCycle(candidate, notI_);
+          const Bdd cone = symbolic::cycleCone(candidate, group, notI_,
+                                               &stats_.sccSymbolicSteps);
+          cyclic = !cone.isFalse() && symbolic::hasCycle(candidate, cone);
           stats_.addEngine(candidate.drainStats());
         }
         if (cyclic) continue;
@@ -180,22 +173,24 @@ class Synthesizer {
     if (groups.isFalse()) return;
 
     // Identify_Resolve_Cycles: SCCs of (pss ∪ groups)|¬I; every group with
-    // a transition inside a component is discarded. The incremental
-    // fast path skips detection when the batch provably closes no cycle
-    // (pss|¬I is acyclic by construction throughout the passes).
+    // a transition inside a component is discarded. pss|¬I is acyclic by
+    // construction throughout the passes, so every component lies in the
+    // batch's cycle cone: detection runs there only, and is skipped
+    // outright when the cone is empty (the batch provably closes no cycle).
     const ImageEngine candidate = withGroups(j, groups);
+    Bdd cone;
     {
       obs::AccumSpan timeIt(stats_.sccSeconds, "acyclic_increment", "scc");
-      const bool acyclic = symbolic::certainlyAcyclicIncrement(
-          candidate, groups, notI_, &stats_.sccSymbolicSteps);
+      cone = symbolic::cycleCone(candidate, groups, notI_,
+                                 &stats_.sccSymbolicSteps);
       stats_.addEngine(candidate.drainStats());
-      if (acyclic) {
+      if (cone.isFalse()) {
         stats_.sccFastPathHits += 1;
         commit(j, groups);
         return;
       }
     }
-    const symbolic::SccResult sccs = detectSccs(candidate);
+    const symbolic::SccResult sccs = detectSccs(candidate, cone);
     for (const Bdd& c : sccs.components) {
       const Bdd bad = groups & c & sp_.onNext(c);
       if (!bad.isFalse()) groups = groups.minus(sp_.groupExpand(j, bad));
@@ -228,17 +223,16 @@ class Synthesizer {
     return d;
   }
 
-  [[nodiscard]] symbolic::SccResult detectSccs(const ImageEngine& engine) {
+  /// Non-trivial SCCs of the engine's relation within `domain` (all of ¬I
+  /// or a cycle cone), recorded in the stats and on the trace span.
+  [[nodiscard]] symbolic::SccResult detectSccs(const ImageEngine& engine,
+                                               const Bdd& domain) {
     obs::AccumSpan timeIt(stats_.sccSeconds, "scc_detect", "scc");
-    util::Stopwatch trace;
-    symbolic::SccResult r = symbolic::nontrivialSccs(engine, notI_);
+    symbolic::SccResult r = symbolic::nontrivialSccs(engine, domain);
     stats_.addEngine(engine.drainStats());
     timeIt.span().arg("components", r.components.size());
     timeIt.span().arg("symbolic_steps", r.symbolicSteps);
-    if (traceEnvEnabled()) {
-      std::fprintf(stderr, "detectSccs: %zu comps, %zu steps, %.2fs\n",
-                   r.components.size(), r.symbolicSteps, trace.seconds());
-    }
+    timeIt.span().arg("cone_nodes", domain.nodeCount());
     stats_.sccDetectionCalls += 1;
     stats_.sccComponentsFound += r.components.size();
     stats_.sccSymbolicSteps += r.symbolicSteps;

@@ -158,35 +158,34 @@ bool hasCycle(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& domain) {
   return hasCycle(ImageEngine(sp, rel), domain);
 }
 
-bool certainlyAcyclicIncrement(const ImageEngine& combined, const Bdd& delta,
-                               const Bdd& domain, std::size_t* steps) {
+Bdd cycleCone(const ImageEngine& combined, const Bdd& delta,
+              const Bdd& domain, std::size_t* steps) {
   const SymbolicProtocol& sp = combined.sp();
-  // Delta self-loops inside the domain are cycles outright.
-  if (!(delta & domain & sp.enc().diagonal()).isFalse()) return false;
-
   const Bdd inDomain = sp.restrictRel(delta, domain);
-  if (inDomain.isFalse()) return true;  // delta never re-enters the domain
+  if (inDomain.isFalse()) return inDomain;  // delta never re-enters domain
   const Bdd sources = sp.sources(inDomain);
   const Bdd targets = sp.image(inDomain, domain);
+  std::size_t rounds = 0;
 
-  // BFS of the targets' forward cone under base ∪ delta, bailing out the
-  // moment it can touch a delta source (then a closing edge may exist).
-  Bdd reach = targets;
+  // Forward closure of the targets under base ∪ delta.
+  Bdd fwd = targets;
   Bdd frontier = targets;
-  for (;;) {
-    if (!(frontier & sources).isFalse()) return false;  // inconclusive
-    frontier = combined.image(frontier, domain) & !reach;
-    if (steps != nullptr) ++*steps;
-    if (frontier.isFalse()) return true;  // cone closed without meeting them
-    reach |= frontier;
+  while (!frontier.isFalse()) {
+    frontier = combined.image(frontier, domain) & !fwd;
+    fwd |= frontier;
+    ++rounds;
   }
-}
-
-bool certainlyAcyclicIncrement(const SymbolicProtocol& sp, const Bdd& base,
-                               const Bdd& delta, const Bdd& domain,
-                               std::size_t* steps) {
-  return certainlyAcyclicIncrement(ImageEngine(sp, base | delta), delta,
-                                   domain, steps);
+  // Backward closure of the sources it reaches, kept inside fwd. Empty
+  // seeds mean no delta edge can close a cycle.
+  Bdd cone = sources & fwd;
+  frontier = cone;
+  while (!frontier.isFalse()) {
+    frontier = combined.preimage(frontier, fwd) & !cone;
+    cone |= frontier;
+    ++rounds;
+  }
+  if (steps != nullptr) *steps += rounds;
+  return cone;
 }
 
 }  // namespace stsyn::symbolic

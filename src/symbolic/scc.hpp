@@ -78,25 +78,22 @@ struct SccResult {
 [[nodiscard]] bool hasCycle(const SymbolicProtocol& sp, const bdd::Bdd& rel,
                             const bdd::Bdd& domain);
 
-/// Incremental one-sided acyclicity test over an engine holding base ∪
-/// delta. Precondition: (combined \ delta) restricted to `domain` is
-/// acyclic. Any cycle of combined|domain must then pass through a delta
-/// edge, so it is ruled out whenever the forward cone of delta's targets
-/// never meets delta's sources. Returns true when the combination is
-/// CERTAINLY acyclic; false means "possibly cyclic — run full SCC
-/// detection". This is the fast path that lets the synthesis of
-/// locally-correctable protocols (coloring) skip SCC detection entirely,
-/// mirroring the paper's observation that coloring never forms SCCs.
-[[nodiscard]] bool certainlyAcyclicIncrement(const ImageEngine& combined,
-                                             const bdd::Bdd& delta,
-                                             const bdd::Bdd& domain,
-                                             std::size_t* steps = nullptr);
-
-/// Monolithic convenience overload over base ∪ delta.
-[[nodiscard]] bool certainlyAcyclicIncrement(const SymbolicProtocol& sp,
-                                             const bdd::Bdd& base,
-                                             const bdd::Bdd& delta,
-                                             const bdd::Bdd& domain,
-                                             std::size_t* steps = nullptr);
+/// The cycle cone of an increment, over an engine holding base ∪ delta.
+/// Precondition: (combined \ delta) restricted to `domain` is acyclic, so
+/// every cycle of combined|domain passes through a delta edge and lies
+/// inside FW*(targets(delta)) ∩ BW*(sources(delta)) (both closures taken
+/// within `domain`). Returns that intersection: a union of whole SCCs of
+/// combined|domain holding every non-trivial one, so nontrivialSccs and
+/// hasCycle over the cone answer exactly as they would over `domain`.
+/// The forward closure is computed first; when it never meets a delta
+/// source the result is empty — the increment is CERTAINLY acyclic, the
+/// fast path that lets the synthesis of locally-correctable protocols
+/// (coloring) skip SCC detection entirely, mirroring the paper's
+/// observation that coloring never forms SCCs. `steps` accumulates the
+/// image/preimage rounds spent.
+[[nodiscard]] bdd::Bdd cycleCone(const ImageEngine& combined,
+                                 const bdd::Bdd& delta,
+                                 const bdd::Bdd& domain,
+                                 std::size_t* steps = nullptr);
 
 }  // namespace stsyn::symbolic

@@ -3,6 +3,7 @@
 // SynthesisStats JSON export, and the (frozen) human summary() format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -21,6 +22,7 @@ using obs::JsonValue;
 using obs::JsonWriter;
 using obs::parseJson;
 using obs::Span;
+using obs::TraceArg;
 using obs::TraceEvent;
 using obs::Tracer;
 
@@ -384,6 +386,15 @@ TEST_F(TracerTest, SynthesisEmitsPhaseSpans) {
   EXPECT_EQ(count("ranking"), 1u);
   EXPECT_GE(count("scc_detect"), 1u);
   EXPECT_GE(count("pass1"), 1u);
+  // Every SCC detection reports the size of the domain it searched.
+  for (const auto& e : events) {
+    if (e.name != "scc_detect") continue;
+    const auto cone =
+        std::find_if(e.args.begin(), e.args.end(),
+                     [](const TraceArg& a) { return a.key == "cone_nodes"; });
+    ASSERT_NE(cone, e.args.end());
+    EXPECT_GT(std::stoul(cone->json), 0u);
+  }
   // The whole-synthesis span must contain the ranking span.
   const TraceEvent *whole = nullptr, *ranking = nullptr;
   for (const auto& e : events) {

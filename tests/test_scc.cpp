@@ -279,6 +279,13 @@ TEST(PartitionedScc, AgreesWithMonolithic) {
             symbolic::hasCycle(sp, parts, notI));
 }
 
+/// cycleCone over base ∪ delta (a monolithic engine, as in diagnose).
+Bdd coneOf(const SymbolicProtocol& sp, const Bdd& base, const Bdd& delta,
+           const Bdd& domain) {
+  return symbolic::cycleCone(symbolic::ImageEngine(sp, base | delta), delta,
+                             domain);
+}
+
 TEST(IncrementalAcyclicity, CertainlyAcyclicWhenConeStaysClear) {
   const protocol::Protocol p = counterProtocol(8);
   const Encoding enc(p);
@@ -291,8 +298,7 @@ TEST(IncrementalAcyclicity, CertainlyAcyclicWhenConeStaysClear) {
       {2, 3}};
   const Bdd base = relationOf(enc, sp, baseEdges);
   const Bdd delta = relationOf(enc, sp, deltaEdges);
-  EXPECT_TRUE(
-      symbolic::certainlyAcyclicIncrement(sp, base, delta, enc.validCur()));
+  EXPECT_TRUE(coneOf(sp, base, delta, enc.validCur()).isFalse());
 }
 
 TEST(IncrementalAcyclicity, InconclusiveWhenDeltaClosesACycle) {
@@ -305,17 +311,20 @@ TEST(IncrementalAcyclicity, InconclusiveWhenDeltaClosesACycle) {
       {3, 1}};
   const Bdd base = relationOf(enc, sp, baseEdges);
   const Bdd delta = relationOf(enc, sp, deltaEdges);
-  EXPECT_FALSE(
-      symbolic::certainlyAcyclicIncrement(sp, base, delta, enc.validCur()));
+  const Bdd cone = coneOf(sp, base, delta, enc.validCur());
+  EXPECT_FALSE(cone.isFalse());
   // And the full check agrees there IS a cycle.
   EXPECT_TRUE(symbolic::hasCycle(sp, base | delta, enc.validCur()));
+  // The cone is exactly the closed cycle.
+  EXPECT_EQ(symbolic::decodeStates(enc, cone),
+            (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 TEST(IncrementalAcyclicity, ConservativeOnNearMisses) {
   // delta target reaches a delta source but the closing edge goes
-  // elsewhere: the quick test must say "inconclusive" (false), and the
-  // full check must confirm acyclicity — i.e. the test errs only on the
-  // safe side.
+  // elsewhere: the cone must be non-empty ("inconclusive"), and the full
+  // check must confirm acyclicity — i.e. the test errs only on the safe
+  // side.
   const protocol::Protocol p = counterProtocol(8);
   const Encoding enc(p);
   const SymbolicProtocol sp(enc);
@@ -327,9 +336,15 @@ TEST(IncrementalAcyclicity, ConservativeOnNearMisses) {
       {0, 1}, {3, 4}};
   const Bdd base = relationOf(enc, sp, baseEdges);
   const Bdd delta = relationOf(enc, sp, deltaEdges);
-  EXPECT_FALSE(
-      symbolic::certainlyAcyclicIncrement(sp, base, delta, enc.validCur()));
+  const Bdd cone = coneOf(sp, base, delta, enc.validCur());
+  EXPECT_FALSE(cone.isFalse());
   EXPECT_FALSE(symbolic::hasCycle(sp, base | delta, enc.validCur()));
+  // The cone is the path 1 -> 2 -> 3, whose cycle core is empty.
+  EXPECT_EQ(symbolic::decodeStates(enc, cone),
+            (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_FALSE(symbolic::hasCycle(sp, base | delta, cone));
+  EXPECT_TRUE(
+      symbolic::nontrivialSccs(sp, base | delta, cone).components.empty());
 }
 
 TEST(IncrementalAcyclicity, SelfLoopDeltaAndOutOfDomainDelta) {
@@ -339,11 +354,76 @@ TEST(IncrementalAcyclicity, SelfLoopDeltaAndOutOfDomainDelta) {
   const Bdd base = enc.manager().falseBdd();
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> loop{{2, 2}};
   const Bdd selfLoop = relationOf(enc, sp, loop);
-  EXPECT_FALSE(
-      symbolic::certainlyAcyclicIncrement(sp, base, selfLoop, enc.validCur()));
+  EXPECT_FALSE(coneOf(sp, base, selfLoop, enc.validCur()).isFalse());
   // Same delta, but the domain excludes state 2: the loop is irrelevant.
   const Bdd domain = enc.validCur() & !enc.stateBdd(std::vector<int>{2});
-  EXPECT_TRUE(symbolic::certainlyAcyclicIncrement(sp, base, selfLoop, domain));
+  EXPECT_TRUE(coneOf(sp, base, selfLoop, domain).isFalse());
 }
+
+class CycleConeRandom : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
+  // A random acyclic base (edges only ascend a random ranking of the
+  // states) plus a random delta that may close cycles, self-loops
+  // included: the cone must hold exactly the components Tarjan finds over
+  // the whole domain.
+  const int n = 24;
+  const protocol::Protocol p = counterProtocol(n);
+  const Encoding enc(p);
+  const SymbolicProtocol sp(enc);
+  const explicitstate::StateSpace space(p);
+
+  util::Rng rng(GetParam() * 7 + 11);
+  const std::vector<std::size_t> rank = rng.permutation(n);
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> baseEdges;
+  const std::size_t baseCount = 20 + rng.below(30);
+  for (std::size_t i = 0; i < baseCount; ++i) {
+    const std::uint64_t a = rng.below(n);
+    const std::uint64_t b = rng.below(n);
+    if (rank[a] < rank[b]) baseEdges.emplace_back(a, b);
+    if (rank[b] < rank[a]) baseEdges.emplace_back(b, a);
+  }
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> deltaEdges;
+  const std::size_t deltaCount = 1 + rng.below(4);
+  for (std::size_t i = 0; i < deltaCount; ++i) {
+    deltaEdges.emplace_back(rng.below(n), rng.below(n));
+  }
+  const Bdd base = relationOf(enc, sp, baseEdges);
+  const Bdd delta = relationOf(enc, sp, deltaEdges);
+  ASSERT_FALSE(symbolic::hasCycle(sp, base, enc.validCur()));
+
+  const symbolic::ImageEngine combined(sp, base | delta);
+  std::size_t steps = 0;
+  const Bdd cone =
+      symbolic::cycleCone(combined, delta, enc.validCur(), &steps);
+  const auto coneSccs =
+      canonical(enc, symbolic::nontrivialSccs(combined, cone).components);
+
+  std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
+      explicitEdges(baseEdges.begin(), baseEdges.end());
+  explicitEdges.insert(explicitEdges.end(), deltaEdges.begin(),
+                       deltaEdges.end());
+  const auto ts = explicitstate::fromEdges(space, explicitEdges);
+  const std::vector<bool> all(n, true);
+  const auto tarjanSccs =
+      canonicalExplicit(explicitstate::nontrivialSccs(ts, all));
+
+  EXPECT_EQ(coneSccs, tarjanSccs) << "seed " << GetParam();
+  EXPECT_EQ(symbolic::hasCycle(combined, cone), !tarjanSccs.empty())
+      << "seed " << GetParam();
+  // An empty cone certifies acyclicity. With one delta edge u -> v the
+  // cone is empty exactly when v cannot reach u, i.e. when no cycle
+  // exists; with several edges a non-empty cone may still be acyclic.
+  if (cone.isFalse()) {
+    EXPECT_TRUE(tarjanSccs.empty()) << "seed " << GetParam();
+    EXPECT_GT(steps, 0u);
+  }
+  if (deltaEdges.size() == 1) {
+    EXPECT_EQ(cone.isFalse(), tarjanSccs.empty()) << "seed " << GetParam();
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CycleConeRandom,
+                         ::testing::Range<std::uint64_t>(0, 24));
 
 }  // namespace
