@@ -59,10 +59,16 @@ struct ArtifactWriter {
       std::fprintf(stderr, "stsyn: cannot write %s\n", opt.tracePath.c_str());
       return;
     }
-    stsyn::obs::Tracer::global().writeChromeTrace(out);
+    const stsyn::obs::Tracer& tracer = stsyn::obs::Tracer::global();
+    tracer.writeChromeTrace(out);
     if (out.good()) {
-      std::printf("wrote trace to %s (%zu events)\n", opt.tracePath.c_str(),
-                  stsyn::obs::Tracer::global().eventCount());
+      std::printf("wrote trace to %s (%zu events", opt.tracePath.c_str(),
+                  tracer.eventCount());
+      if (tracer.droppedCount() > 0) {
+        std::printf(", %llu oldest dropped",
+                    static_cast<unsigned long long>(tracer.droppedCount()));
+      }
+      std::printf(")\n");
     } else {
       std::fprintf(stderr, "stsyn: error writing %s\n", opt.tracePath.c_str());
     }

@@ -50,14 +50,12 @@ Diagnosis diagnose(const SymbolicProtocol& sp, const StrongResult& result,
 
     d.processes.resize(sp.processCount());
     for (std::size_t j = 0; j < sp.processCount(); ++j) {
-      const Bdd cand = sp.candidates(j) & sB;
-      if (cand.isFalse()) {
+      const Bdd groups = sp.groupExpand(j, sp.candidates(j), sB);
+      if (groups.isFalse()) {
         d.processes[j] = ProcessBlock::NoCandidates;
         continue;
       }
-      const Bdd groups = sp.groupExpand(j, cand);
-      const Bdd allowed =
-          groups.minus(sp.groupExpand(j, groups & inv));
+      const Bdd allowed = groups.minus(sp.groupExpand(j, groups, inv));
       if (allowed.isFalse()) {
         d.processes[j] = ProcessBlock::BlockedByC1;
         continue;

@@ -106,8 +106,8 @@ class Synthesizer {
       const std::size_t j = schedule_[idx];
       if (deadlocks_.isFalse()) return true;
       const Bdd cand = sp_.candidates(j);
-      Bdd pool = sp_.groupExpand(j, cand & deadlocks_) & cand;
-      pool = pool.minus(sp_.groupExpand(j, pool & inv_));
+      Bdd pool = sp_.groupExpand(j, cand, deadlocks_) & cand;
+      pool = pool.minus(sp_.groupExpand(j, pool, inv_));
       while (!pool.isFalse()) {
         util::checkCancellation();
         const Bdd useful = pool & deadlocks_;
@@ -161,15 +161,13 @@ class Synthesizer {
   /// inclusion closes a cycle outside I (C3, Identify_Resolve_Cycles).
   void addRecovery(std::size_t j, const Bdd& from, const Bdd& to,
                    const Bdd& ruledOutTargets) {
-    const Bdd cand = sp_.candidates(j);
-    const Bdd seed = cand & from & sp_.onNext(to);
-    if (seed.isFalse()) return;
-    Bdd groups = sp_.groupExpand(j, seed) & cand;
+    Bdd groups = sp_.groupsBetween(j, from, to);
+    if (groups.isFalse()) return;
 
-    // ruledOutTrans = { (s0,s1) : s0 in I or s1 ruled out }.
-    const Bdd ruledOut =
-        groups & (inv_ | sp_.onNext(ruledOutTargets));
-    groups = groups.minus(sp_.groupExpand(j, ruledOut));
+    // Drop groups with a member in ruledOutTrans = { (s0,s1) : s0 in I or
+    // s1 ruled out }, one fused product per disjunct.
+    groups = groups.minus(sp_.groupExpand(j, groups, inv_) |
+                          sp_.groupExpandNext(j, groups, ruledOutTargets));
     if (groups.isFalse()) return;
 
     // Identify_Resolve_Cycles: SCCs of (pss ∪ groups)|¬I; every group with

@@ -31,7 +31,7 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
     for (std::size_t j = 0; j < sp.processCount(); ++j) {
       util::checkCancellation();
       const Bdd all = sp.candidates(j);
-      const Bdd touchingI = sp.groupExpand(j, all & inv);
+      const Bdd touchingI = sp.groupExpand(j, all, inv);
       pimParts.push_back(sp.processRelation(j) | (all & !touchingI));
     }
     const symbolic::ImageEngine engine(sp, std::move(pimParts), policy,

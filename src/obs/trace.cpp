@@ -31,7 +31,13 @@ std::uint32_t Tracer::threadId() {
 void Tracer::record(TraceEvent e) {
   if (!enabled()) return;
   const std::lock_guard<std::mutex> lock(mu_);
-  events_.push_back(std::move(e));
+  if (events_.size() < kCapacity) {
+    events_.push_back(std::move(e));
+    return;
+  }
+  events_[head_] = std::move(e);
+  head_ = (head_ + 1) % kCapacity;
+  ++dropped_;
 }
 
 void Tracer::counter(std::string name, double value) {
@@ -69,6 +75,8 @@ void Tracer::setThreadName(std::string name) {
 void Tracer::clear() {
   const std::lock_guard<std::mutex> lock(mu_);
   events_.clear();
+  head_ = 0;
+  dropped_ = 0;
 }
 
 std::size_t Tracer::eventCount() const {
@@ -76,9 +84,16 @@ std::size_t Tracer::eventCount() const {
   return events_.size();
 }
 
+std::uint64_t Tracer::droppedCount() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return dropped_;
+}
+
 std::vector<TraceEvent> Tracer::snapshot() const {
   const std::lock_guard<std::mutex> lock(mu_);
-  return events_;
+  std::vector<TraceEvent> out(events_.begin() + head_, events_.end());
+  out.insert(out.end(), events_.begin(), events_.begin() + head_);
+  return out;
 }
 
 void Tracer::writeChromeTrace(std::ostream& os) const {
@@ -86,9 +101,15 @@ void Tracer::writeChromeTrace(std::ostream& os) const {
   JsonWriter w(os);
   w.beginObject();
   w.field("displayTimeUnit", "ms");
+  w.key("otherData");
+  w.beginObject();
+  w.field("trace_capacity", static_cast<std::uint64_t>(kCapacity));
+  w.field("dropped_events", dropped_);
+  w.endObject();
   w.key("traceEvents");
   w.beginArray();
-  for (const TraceEvent& e : events_) {
+  for (std::size_t i = 0; i < events_.size(); ++i) {
+    const TraceEvent& e = events_[(head_ + i) % events_.size()];
     w.beginObject();
     w.field("name", e.name);
     w.field("cat", e.category);

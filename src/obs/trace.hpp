@@ -14,6 +14,11 @@
 // instrumented sites are coarse enough (phases, SCC detections, GC and
 // reorder passes, portfolio instances) that contention is irrelevant.
 //
+// Memory is bounded: the buffer is a ring of kCapacity events. Once it is
+// full each new event overwrites the oldest one and counts as dropped, so a
+// long-running traced daemon keeps its most recent window and reports how
+// much it lost (the rendered trace carries the count as metadata).
+//
 // Span nesting is implicit: trace viewers reconstruct the per-thread
 // stack from the containment of [start, start+dur) intervals, which RAII
 // scoping guarantees.
@@ -59,6 +64,10 @@ struct TraceEvent {
 /// are no-ops while disabled.
 class Tracer {
  public:
+  /// Ring size. At a few hundred bytes per event a full ring holds a few
+  /// tens of MB.
+  static constexpr std::size_t kCapacity = std::size_t{1} << 17;
+
   static Tracer& global();
 
   void enable() { enabled_.store(true, std::memory_order_relaxed); }
@@ -73,11 +82,17 @@ class Tracer {
   /// Names the calling thread in trace viewers (ph "M" thread_name).
   void setThreadName(std::string name);
 
+  /// Empties the buffer and resets the dropped-event count.
   void clear();
+  /// Events currently held (at most kCapacity).
   [[nodiscard]] std::size_t eventCount() const;
+  /// Events overwritten since the last clear() because the ring was full.
+  [[nodiscard]] std::uint64_t droppedCount() const;
+  /// The held events, oldest first.
   [[nodiscard]] std::vector<TraceEvent> snapshot() const;
 
-  /// Renders every recorded event as a Chrome trace_event JSON document.
+  /// Renders the held events as a Chrome trace_event JSON document, with
+  /// kCapacity and the dropped-event count under "otherData".
   void writeChromeTrace(std::ostream& os) const;
   [[nodiscard]] std::string chromeTraceJson() const;
 
@@ -90,7 +105,9 @@ class Tracer {
  private:
   std::atomic<bool> enabled_{false};
   mutable std::mutex mu_;
-  std::vector<TraceEvent> events_;
+  std::vector<TraceEvent> events_;  ///< grows to kCapacity, then wraps
+  std::size_t head_ = 0;            ///< oldest event once events_ is full
+  std::uint64_t dropped_ = 0;
 };
 
 /// RAII span: records one complete event covering its lifetime. The

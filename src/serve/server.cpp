@@ -5,6 +5,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstring>
+#include <fstream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -928,6 +929,15 @@ int runServe(const cli::Options& options, std::ostream& out,
   out.flush();
   server.waitUntilStopped();
   server.stop();
+  if (!options.tracePath.empty()) {
+    // The tracer's ring bounds what a long-running daemon holds; the file
+    // reports how many older events it dropped.
+    std::ofstream trace(options.tracePath);
+    obs::Tracer::global().writeChromeTrace(trace);
+    if (!trace.good()) {
+      err << "stsyn serve: cannot write " << options.tracePath << "\n";
+    }
+  }
   out << "stsyn serve: shut down\n";
   return 0;
 }

@@ -1,6 +1,8 @@
 #include "symbolic/relations.hpp"
 
 #include <algorithm>
+#include <cassert>
+#include <numeric>
 #include <stdexcept>
 
 namespace stsyn::symbolic {
@@ -92,8 +94,51 @@ Bdd SymbolicProtocol::groupExpand(std::size_t j, const Bdd& t) const {
   // unreadables unchanged). Projecting out both copies of the unreadables
   // and re-imposing "unreadables unchanged" therefore yields exactly the
   // union of the groups intersecting t.
-  return t.exists(unreadCube_[j]) & unreadUnchanged_[j] & enc_.validCur() &
-         enc_.validNext();
+  return closeGroups(j, t.exists(unreadCube_[j]));
+}
+
+Bdd SymbolicProtocol::groupExpand(std::size_t j, const Bdd& t,
+                                  const Bdd& s) const {
+  return closeGroups(j, t.andExists(s, unreadCube_[j]));
+}
+
+Bdd SymbolicProtocol::groupExpandNext(std::size_t j, const Bdd& t,
+                                      const Bdd& s) const {
+  // Under frame_j every unwritten next copy equals its current copy, so
+  // t ∧ s' = t ∧ s[W_j -> W_j'].
+  assert(t.implies(frame_[j]) &&
+         "groupExpandNext: t violates the process frame");
+  return closeGroups(j, t.andExists(writtenToNext(j, s), unreadCube_[j]));
+}
+
+Bdd SymbolicProtocol::groupsBetween(std::size_t j, const Bdd& from,
+                                    const Bdd& to) const {
+  // Within A_j a transition from x = (w, r, u) leads to x' = (w', r, u), so
+  // A_j ∧ from ∧ to' = A_j ∧ from(w, r, u) ∧ to(w', r, u). Quantifying the
+  // unreadables u and re-imposing A_j (which holds "unreadables unchanged"
+  // and the valid fences) is then E_j(A_j ∧ from ∧ to') ∧ A_j. The next
+  // copies of the unreadables are outside the product's support, so the
+  // full unreadable cube quantifies exactly the current ones.
+  assert(from.implies(enc_.validCur()) && to.implies(enc_.validCur()) &&
+         "groupsBetween: from/to must lie inside validCur");
+  return from.andExists(writtenToNext(j, to), unreadCube_[j]) &
+         candidates_[j];
+}
+
+Bdd SymbolicProtocol::writtenToNext(std::size_t j, const Bdd& s) const {
+  const protocol::Protocol& p = enc_.proto();
+  std::vector<Var> perm(manager().varCount());
+  std::iota(perm.begin(), perm.end(), Var{0});
+  for (const VarId v : p.processes[j].writes) {
+    const std::vector<Var>& cur = enc_.curLevels(v);
+    const std::vector<Var>& next = enc_.nextLevels(v);
+    for (std::size_t k = 0; k < cur.size(); ++k) perm[cur[k]] = next[k];
+  }
+  return s.rename(perm);
+}
+
+Bdd SymbolicProtocol::closeGroups(std::size_t j, const Bdd& t) const {
+  return t & unreadUnchanged_[j] & enc_.validCur() & enc_.validNext();
 }
 
 Bdd SymbolicProtocol::image(const Bdd& t, const Bdd& s) const {

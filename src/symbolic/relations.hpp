@@ -51,6 +51,33 @@ class SymbolicProtocol {
   /// satisfy frame_j); the result again satisfies frame_j.
   [[nodiscard]] bdd::Bdd groupExpand(std::size_t j, const bdd::Bdd& t) const;
 
+  // Fused group selection. Each primitive below returns exactly the BDD its
+  // spelled-out form would, but in one relational product: the conjunction
+  // it expands is never materialized. Written variables W_j are renamed
+  // through a partial rename (current -> next bits of W_j only), which is
+  // monotone under any reorder because each (cur, next) bit pair sifts as
+  // one block.
+
+  /// E_j(t ∧ s) for a current-state predicate s. Same precondition on t as
+  /// groupExpand.
+  [[nodiscard]] bdd::Bdd groupExpand(std::size_t j, const bdd::Bdd& t,
+                                     const bdd::Bdd& s) const;
+
+  /// E_j(t ∧ s') — groups of t with a member ending in s. Precondition: t
+  /// satisfies frame_j (asserted in debug builds), so that s' may be
+  /// replaced by s with only W_j renamed.
+  [[nodiscard]] bdd::Bdd groupExpandNext(std::size_t j, const bdd::Bdd& t,
+                                         const bdd::Bdd& s) const;
+
+  /// Every group of process j with a member in from x to:
+  /// E_j(A_j ∧ from ∧ to') ∧ A_j, computed as
+  /// (∃ unreadables. from ∧ to[W_j -> W_j']) ∧ A_j.
+  /// Precondition: from and to lie inside validCur (asserted in debug
+  /// builds). Projecting out unreadables of an unfenced set would let
+  /// invalid codes of one state set pair with valid codes of the other.
+  [[nodiscard]] bdd::Bdd groupsBetween(std::size_t j, const bdd::Bdd& from,
+                                       const bdd::Bdd& to) const;
+
   /// Successors of S under relation T: { s' : exists s in S, (s,s') in T },
   /// expressed over current-state levels.
   [[nodiscard]] bdd::Bdd image(const bdd::Bdd& t, const bdd::Bdd& s) const;
@@ -95,6 +122,15 @@ class SymbolicProtocol {
   bdd::Bdd protocolRel_;
   std::vector<bdd::Bdd> frame_;
   std::vector<bdd::Bdd> candidates_;
+
+  /// rename_{cur W_j -> next W_j}(s), with the permutation built per call:
+  /// a long-lived per-process vector here measurably raised serve's peak
+  /// RSS through heap reuse (docs/serve.md).
+  [[nodiscard]] bdd::Bdd writtenToNext(std::size_t j, const bdd::Bdd& s) const;
+
+  /// The closure E_j applies after quantifying: unreadables unchanged and
+  /// both copies valid.
+  [[nodiscard]] bdd::Bdd closeGroups(std::size_t j, const bdd::Bdd& t) const;
 
   // Per-process cubes/equalities for E_j: quantify both copies of the
   // unreadable variables, then re-impose "unreadables unchanged".

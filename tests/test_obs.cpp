@@ -280,6 +280,41 @@ TEST_F(TracerTest, ClearEmptiesTheBuffer) {
   EXPECT_EQ(Tracer::global().eventCount(), 0u);
 }
 
+TEST_F(TracerTest, FullRingKeepsTheNewestEventsAndCountsDrops) {
+  const std::size_t cap = Tracer::kCapacity;
+  Tracer::global().enable();
+  for (std::size_t i = 0; i < cap + 6; ++i) {
+    Tracer::global().instant("e" + std::to_string(i));
+  }
+
+  EXPECT_EQ(Tracer::global().eventCount(), cap);
+  EXPECT_EQ(Tracer::global().droppedCount(), 6u);
+  const auto events = Tracer::global().snapshot();
+  ASSERT_EQ(events.size(), cap);
+  EXPECT_EQ(events.front().name, "e6");
+  EXPECT_EQ(events.back().name, "e" + std::to_string(cap + 5));
+
+  // The rendered trace holds the same window, oldest first, and reports
+  // the loss as metadata.
+  std::string err;
+  const auto doc = parseJson(Tracer::global().chromeTraceJson(), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  const JsonValue* meta = doc->find("otherData");
+  ASSERT_NE(meta, nullptr);
+  EXPECT_DOUBLE_EQ(meta->find("dropped_events")->number, 6.0);
+  EXPECT_DOUBLE_EQ(meta->find("trace_capacity")->number,
+                   static_cast<double>(cap));
+  const JsonValue* rendered = doc->find("traceEvents");
+  ASSERT_EQ(rendered->items.size(), cap);
+  EXPECT_EQ(rendered->items.front().find("name")->str, "e6");
+  EXPECT_EQ(rendered->items.back().find("name")->str,
+            "e" + std::to_string(cap + 5));
+
+  Tracer::global().clear();
+  EXPECT_EQ(Tracer::global().eventCount(), 0u);
+  EXPECT_EQ(Tracer::global().droppedCount(), 0u);
+}
+
 // -------------------------------------------------- SynthesisStats JSON --
 
 core::SynthesisStats sampleStats() {

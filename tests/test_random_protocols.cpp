@@ -555,4 +555,84 @@ TEST_P(OrbitPruneDifferential, PrunedPortfolioMatchesUnprunedSemantics) {
 INSTANTIATE_TEST_SUITE_P(Seeds, OrbitPruneDifferential,
                          ::testing::Range<std::uint64_t>(0, 24));
 
+// ---------------------------------------------------------------------------
+// Fused group-selection products: each primitive must return exactly the
+// BDD of the conjunction it avoids materializing. Domains 2-3 leave invalid
+// codes in every encoding, so the validCur fence is exercised too.
+// ---------------------------------------------------------------------------
+
+/// Each valid state kept with probability 1/2.
+bdd::Bdd randomStates(const symbolic::Encoding& enc, util::Rng& rng) {
+  const protocol::Protocol& p = enc.proto();
+  std::uint64_t size = 1;
+  for (const protocol::Variable& v : p.vars) size *= v.domain;
+  bdd::Bdd out = enc.manager().falseBdd();
+  for (std::uint64_t s = 0; s < size; ++s) {
+    if (rng.flip()) out |= enc.stateBdd(symbolic::unpackState(p, s));
+  }
+  return out;
+}
+
+/// Each candidate transition of process j kept with probability 1/2.
+bdd::Bdd randomCandidates(const symbolic::SymbolicProtocol& sp, std::size_t j,
+                          util::Rng& rng) {
+  const symbolic::Encoding& enc = sp.enc();
+  bdd::Bdd out = enc.manager().falseBdd();
+  for (const auto& [from, to] :
+       symbolic::decodeRelation(enc, sp.candidates(j))) {
+    if (!rng.flip()) continue;
+    out |= enc.stateBdd(symbolic::unpackState(enc.proto(), from)) &
+           sp.onNext(enc.stateBdd(symbolic::unpackState(enc.proto(), to)));
+  }
+  return out;
+}
+
+class GroupProducts : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(GroupProducts, FusedProductsEqualSpelledOutExpansions) {
+  util::Rng rng(GetParam() * 6151 + 3);
+  for (int instance = 0; instance < 4; ++instance) {
+    const protocol::Protocol p = randomProtocol(rng);
+    const symbolic::Encoding enc(p);
+    const symbolic::SymbolicProtocol sp(enc);
+    const bdd::Bdd valid = enc.validCur();
+    std::vector<bdd::Bdd> sets{enc.manager().falseBdd(), valid,
+                               sp.invariant(), valid & !sp.invariant()};
+    for (int k = 0; k < 4; ++k) sets.push_back(randomStates(enc, rng));
+
+    for (std::size_t j = 0; j < sp.processCount(); ++j) {
+      const bdd::Bdd cand = sp.candidates(j);
+      for (const bdd::Bdd& from : sets) {
+        for (const bdd::Bdd& to : sets) {
+          EXPECT_TRUE(sp.groupsBetween(j, from, to) ==
+                      (sp.groupExpand(j, cand & from & sp.onNext(to)) & cand))
+              << "seed " << GetParam() << " instance " << instance
+              << " process " << j;
+        }
+      }
+      // Single-set products hold for any frame-respecting t and any s,
+      // including unfenced sets with invalid codes.
+      const std::vector<bdd::Bdd> ts{cand, sp.processRelation(j),
+                                     randomCandidates(sp, j, rng),
+                                     enc.manager().falseBdd()};
+      for (const bdd::Bdd& t : ts) {
+        for (const bdd::Bdd& s : sets) {
+          for (const bdd::Bdd& x : {s, !s}) {
+            EXPECT_TRUE(sp.groupExpand(j, t, x) == sp.groupExpand(j, t & x))
+                << "seed " << GetParam() << " instance " << instance
+                << " process " << j;
+            EXPECT_TRUE(sp.groupExpandNext(j, t, x) ==
+                        sp.groupExpand(j, t & sp.onNext(x)))
+                << "seed " << GetParam() << " instance " << instance
+                << " process " << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GroupProducts,
+                         ::testing::Range<std::uint64_t>(0, 24));
+
 }  // namespace

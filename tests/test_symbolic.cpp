@@ -331,7 +331,55 @@ TEST(Groups, CandidatesExcludeSelfLoopsAndRespectFrames) {
   }
 }
 
-TEST(PickTransition, ReturnsTheCanonicalLexminMember) {
+TEST(Groups, FusedProductsAtTheReadWriteExtremes) {
+  // P0 reads every variable (no unreadables, so every group is a single
+  // transition) and writes one; P1 writes every variable (the rename is the
+  // whole cur -> next rename and the frame is trivial); P2 has an
+  // unreadable variable. Domains 3 leave invalid codes.
+  protocol::ProtocolBuilder b("extremes");
+  const protocol::VarId x = b.variable("x", 3);
+  const protocol::VarId y = b.variable("y", 2);
+  const protocol::VarId z = b.variable("z", 3);
+  b.process("P0", {x, y, z}, {y});
+  b.process("P1", {x, y, z}, {x, y, z});
+  b.process("P2", {y, z}, {z});
+  b.invariant(protocol::ref(x) == protocol::ref(z));
+  const protocol::Protocol p = b.build();
+  const Encoding enc(p);
+  const SymbolicProtocol sp(enc);
+
+  const Bdd inv = sp.invariant();
+  const Bdd outside = enc.validCur() & !inv;
+  const Bdd some = enc.stateBdd(std::vector<int>{1, 0, 2}) |
+                   enc.stateBdd(std::vector<int>{2, 1, 0});
+  const std::vector<Bdd> sets{enc.manager().falseBdd(), enc.validCur(), inv,
+                              outside, some};
+  for (std::size_t j = 0; j < 3; ++j) {
+    const Bdd cand = sp.candidates(j);
+    for (const Bdd& from : sets) {
+      for (const Bdd& to : sets) {
+        const Bdd members = cand & from & sp.onNext(to);
+        const Bdd groups = sp.groupsBetween(j, from, to);
+        EXPECT_TRUE(groups == (sp.groupExpand(j, members) & cand))
+            << "process " << j;
+        // Without unreadables a group is one transition.
+        if (j < 2) {
+          EXPECT_TRUE(groups == members) << "process " << j;
+        }
+      }
+      EXPECT_TRUE(sp.groupExpand(j, cand, from) ==
+                  sp.groupExpand(j, cand & from));
+      EXPECT_TRUE(sp.groupExpandNext(j, cand, from) ==
+                  sp.groupExpand(j, cand & sp.onNext(from)));
+    }
+  }
+  // Debug builds reject operands outside the fences the identities need.
+  EXPECT_DEBUG_DEATH((void)sp.groupsBetween(2, !inv, inv), "validCur");
+  EXPECT_DEBUG_DEATH((void)sp.groupExpandNext(2, enc.validCur(), inv),
+                     "frame");
+}
+
+TEST(PickTransition,ReturnsTheCanonicalLexminMember) {
   // The explicit synthesis engine reproduces the symbolic greedy pass by
   // assuming pickTransition returns the member pair that minimizes the
   // value-lexicographic (current state, next state) key in variable
