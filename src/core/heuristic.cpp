@@ -301,17 +301,7 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
     out.remainingDeadlocks = syn.deadlocks();
     out.stats.totalSeconds += total.seconds();
     out.stats.programNodes = out.relation.nodeCount();
-    const bdd::ManagerStats& ms = sp.manager().stats();
-    out.stats.peakLiveNodes = ms.peakLiveNodes;
-    out.stats.peakReachableNodes = ms.peakReachableNodes;
-    out.stats.reorderRuns = ms.reorderRuns;
-    out.stats.reorderSeconds = ms.reorderSeconds;
-    out.stats.reorderNodesSaved = ms.reorderNodesBefore - ms.reorderNodesAfter;
-    out.stats.gcRuns = ms.gcRuns;
-    out.stats.cacheLookups = ms.cacheLookups;
-    out.stats.cacheHits = ms.cacheHits;
-    out.stats.cacheStores = ms.cacheStores;
-    out.stats.uniqueProbes = ms.uniqueProbes;
+    out.stats.copyManagerStats(sp.manager().stats());
     synthSpan.arg("success", success);
     synthSpan.arg("pass", out.stats.passCompleted);
     synthSpan.arg("program_nodes", out.stats.programNodes);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "bdd/bdd.hpp"
 #include "obs/json.hpp"
 #include "symbolic/frontier.hpp"
 
@@ -14,6 +15,19 @@ void SynthesisStats::addEngine(const symbolic::ImageEngineStats& e) {
   imagePartProducts += e.partProducts;
   transferNodes += e.transferNodes;
   if (e.reduceDepth > reduceDepth) reduceDepth = e.reduceDepth;
+}
+
+void SynthesisStats::copyManagerStats(const bdd::ManagerStats& ms) {
+  peakLiveNodes = ms.peakLiveNodes;
+  peakReachableNodes = ms.peakReachableNodes;
+  reorderRuns = ms.reorderRuns;
+  reorderSeconds = ms.reorderSeconds;
+  reorderNodesSaved = ms.reorderNodesBefore - ms.reorderNodesAfter;
+  gcRuns = ms.gcRuns;
+  cacheLookups = ms.cacheLookups;
+  cacheHits = ms.cacheHits;
+  cacheStores = ms.cacheStores;
+  uniqueProbes = ms.uniqueProbes;
 }
 
 std::string SynthesisStats::summary() const {

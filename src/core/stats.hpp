@@ -11,6 +11,10 @@ namespace stsyn::obs {
 class JsonWriter;
 }  // namespace stsyn::obs
 
+namespace stsyn::bdd {
+struct ManagerStats;
+}  // namespace stsyn::bdd
+
 namespace stsyn::symbolic {
 struct ImageEngineStats;
 }  // namespace stsyn::symbolic
@@ -78,8 +82,8 @@ struct SynthesisStats {
   /// imageOps + preimageOps (plus source/target scans) when every engine
   /// ran monolithic, larger under partitioning.
   std::size_t imagePartProducts = 0;
-  /// Backward-BFS rounds of the ranking fixpoint (frontier-based, so each
-  /// round quantifies only the newest rank).
+  /// Backward-BFS rounds of the ranking fixpoint (one preimage of the
+  /// explored set per round, the last one finding nothing new).
   std::size_t frontierSteps = 0;
 
   /// Worker threads the run's partitioned image products were configured
@@ -94,6 +98,10 @@ struct SynthesisStats {
 
   /// Folds one engine's drained counters into this run's totals.
   void addEngine(const symbolic::ImageEngineStats& e);
+
+  /// Copies the manager's peaks, GC, cache, unique-table and reorder
+  /// counters (cumulative since the manager was built) into this run.
+  void copyManagerStats(const bdd::ManagerStats& ms);
 
   /// Average SCC size in BDD nodes (0 when no SCC was ever formed), the
   /// metric plotted in the paper's Figures 7 and 11.

@@ -18,11 +18,7 @@ WeakResult addWeakConvergence(const symbolic::SymbolicProtocol& sp,
   out.success = out.ranking.complete();
   out.stats.totalSeconds = total.seconds();
   out.stats.programNodes = out.relation.nodeCount();
-  const bdd::ManagerStats& ms = sp.manager().stats();
-  out.stats.peakLiveNodes = ms.peakLiveNodes;
-  out.stats.reorderRuns = ms.reorderRuns;
-  out.stats.reorderSeconds = ms.reorderSeconds;
-  out.stats.reorderNodesSaved = ms.reorderNodesBefore - ms.reorderNodesAfter;
+  out.stats.copyManagerStats(sp.manager().stats());
   return out;
 }
 

@@ -125,6 +125,13 @@ Bdd SymbolicProtocol::groupsBetween(std::size_t j, const Bdd& from,
          candidates_[j];
 }
 
+Bdd SymbolicProtocol::hideUnreadables(std::size_t j, const Bdd& s) const {
+  // s has no next-state support, so the cube's next copies are inert.
+  assert(s.implies(enc_.validCur()) &&
+         "hideUnreadables: s must lie inside validCur");
+  return s.exists(unreadCube_[j]);
+}
+
 Bdd SymbolicProtocol::writtenToNext(std::size_t j, const Bdd& s) const {
   const protocol::Protocol& p = enc_.proto();
   std::vector<Var> perm(manager().varCount());

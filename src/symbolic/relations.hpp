@@ -78,6 +78,16 @@ class SymbolicProtocol {
   [[nodiscard]] bdd::Bdd groupsBetween(std::size_t j, const bdd::Bdd& from,
                                        const bdd::Bdd& to) const;
 
+  /// ∃ unreadables_j . s: the states process j cannot tell apart from some
+  /// member of s. Since writes are a subset of reads and A_j keeps the
+  /// unreadables unchanged, the groups of A_j with a member starting in s
+  /// need no relational product:
+  /// groupExpand(j, candidates(j), s) == candidates(j) ∧ hideUnreadables(j, s).
+  /// Precondition: s is a current-state predicate inside validCur (asserted
+  /// in debug builds); invalid unreadable codes would otherwise leak in.
+  [[nodiscard]] bdd::Bdd hideUnreadables(std::size_t j,
+                                         const bdd::Bdd& s) const;
+
   /// Successors of S under relation T: { s' : exists s in S, (s,s') in T },
   /// expressed over current-state levels.
   [[nodiscard]] bdd::Bdd image(const bdd::Bdd& t, const bdd::Bdd& s) const;

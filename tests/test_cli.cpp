@@ -12,6 +12,7 @@
 #include "cli/driver.hpp"
 #include "cli/options.hpp"
 #include "lang/printer.hpp"
+#include "obs/json.hpp"
 
 namespace {
 
@@ -187,6 +188,30 @@ TEST(Driver, StatsDocumentCarriesDeadlineAndCacheFields) {
   EXPECT_NE(doc2.find("\"cache_hit\":true"), std::string::npos) << doc2;
   EXPECT_NE(doc2.find("\"deadline_exceeded\":true"), std::string::npos)
       << doc2;
+}
+
+TEST(Driver, WeakModeStatsCarryManagerCounters) {
+  // --weak --stats-json used to report the BDD kernel counters as 0: only
+  // the peak and reorder fields were copied out of the manager.
+  const protocol::Protocol p = casestudies::tokenRing(4, 3);
+  cli::Options opt;
+  opt.mode = cli::Mode::Weak;
+  opt.quiet = true;
+  cli::Report report;
+  std::ostringstream console;
+  const cli::RunOutcome r = cli::runProtocol(p, opt, report, console, console);
+  ASSERT_EQ(r.exitCode, 0) << console.str();
+  ASSERT_TRUE(report.haveStats);
+  std::string err;
+  const auto doc = obs::parseJson(report.renderStatsJson(), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  EXPECT_EQ(doc->find("mode")->str, "weak");
+  const obs::JsonValue* stats = doc->find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_GT(stats->find("cache_lookups")->number, 0.0);
+  EXPECT_GT(stats->find("cache_stores")->number, 0.0);
+  EXPECT_GT(stats->find("unique_probes")->number, 0.0);
+  EXPECT_GT(stats->find("peak_live_nodes")->number, 0.0);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // (random topology, random invariant; empty action sets so closure holds
 // trivially), run BOTH synthesis engines, and assert they agree exactly —
 // plus, on success, that the result verifies against the explicit checker.
+// The ranking-operand wall at the end adds random guarded actions.
 //
 // This is the widest net in the suite: it explores protocol shapes none of
 // the case studies have (asymmetric localities, multi-writer processes,
@@ -12,6 +13,9 @@
 
 #include "analysis/staticinfo.hpp"
 #include "protocol/builder.hpp"
+#include "casestudies/coloring.hpp"
+#include "casestudies/matching.hpp"
+#include "casestudies/token_ring.hpp"
 #include "core/heuristic.hpp"
 #include "core/portfolio.hpp"
 #include "core/ranks.hpp"
@@ -29,8 +33,10 @@ using namespace stsyn;
 
 /// A random protocol: 3-4 variables with domains 2-3, 2-4 processes with
 /// random read sets (always containing their writes), a random non-empty,
-/// non-full invariant built from equalities/inequalities.
-protocol::Protocol randomProtocol(util::Rng& rng) {
+/// non-full invariant built from equalities/inequalities. With `guarded`,
+/// each process also gets 1-2 guarded actions; the extra draws come last,
+/// so the action-free protocols of a given seed are unchanged.
+protocol::Protocol randomProtocol(util::Rng& rng, bool guarded = false) {
   protocol::ProtocolBuilder b("random");
   const std::size_t nVars = 3 + rng.below(2);
   std::vector<protocol::VarId> vars;
@@ -42,6 +48,8 @@ protocol::Protocol randomProtocol(util::Rng& rng) {
   }
 
   const std::size_t nProcs = 2 + rng.below(3);
+  std::vector<std::vector<protocol::VarId>> procReads;
+  std::vector<std::vector<protocol::VarId>> procWrites;
   for (std::size_t j = 0; j < nProcs; ++j) {
     // Writes: one or two random variables. Reads: the writes plus a random
     // subset of the rest.
@@ -52,6 +60,8 @@ protocol::Protocol randomProtocol(util::Rng& rng) {
       if (rng.below(2) == 0) reads.push_back(v);
     }
     b.process("P" + std::to_string(j), reads, writes);
+    procReads.push_back(reads);
+    procWrites.push_back(writes);
   }
 
   // Invariant: conjunction/disjunction of 2-3 random literals. Reject
@@ -71,6 +81,25 @@ protocol::Protocol randomProtocol(util::Rng& rng) {
     }
   }
   b.invariant(inv);
+
+  // Each action sets one written variable w to a constant it does not hold,
+  // under a literal over another readable variable when there is one, so
+  // every guard is satisfiable and δ_p is never empty.
+  for (std::size_t j = 0; guarded && j < nProcs; ++j) {
+    const std::size_t nActions = 1 + rng.below(2);
+    for (std::size_t a = 0; a < nActions; ++a) {
+      const protocol::VarId w = procWrites[j][rng.below(procWrites[j].size())];
+      const int val = static_cast<int>(rng.below(domains[w]));
+      protocol::E guard = protocol::ref(w) != protocol::lit(val);
+      const protocol::VarId r = procReads[j][rng.below(procReads[j].size())];
+      const int rv = static_cast<int>(rng.below(domains[r]));
+      if (r != w) {
+        guard = guard && (rng.flip() ? (protocol::ref(r) == protocol::lit(rv))
+                                     : (protocol::ref(r) != protocol::lit(rv)));
+      }
+      b.action(j, "A" + std::to_string(a), guard, {{w, protocol::lit(val)}});
+    }
+  }
   return b.build();
 }
 
@@ -609,6 +638,10 @@ TEST_P(GroupProducts, FusedProductsEqualSpelledOutExpansions) {
               << "seed " << GetParam() << " instance " << instance
               << " process " << j;
         }
+        EXPECT_TRUE(sp.groupExpand(j, cand, from) ==
+                    (cand & sp.hideUnreadables(j, from)))
+            << "seed " << GetParam() << " instance " << instance
+            << " process " << j;
       }
       // Single-set products hold for any frame-respecting t and any s,
       // including unfenced sets with invalid codes.
@@ -634,5 +667,83 @@ TEST_P(GroupProducts, FusedProductsEqualSpelledOutExpansions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GroupProducts,
                          ::testing::Range<std::uint64_t>(0, 24));
+
+// ---------------------------------------------------------------------------
+// Ranking operands: computeRanks builds each p_im part from the state
+// predicate ∃u_j.I and advances its BFS by the preimage of the explored
+// set. The reference below spells out the form it replaced — p_im from the
+// group expansion E_j(A_j ∧ I), and a BFS that takes the preimage of the
+// newest rank only — and the two must agree BDD for BDD. The random
+// protocols carry guarded actions, so δ_p takes part in p_im and the BFS.
+// ---------------------------------------------------------------------------
+
+core::Ranking frontierRanks(const symbolic::SymbolicProtocol& sp) {
+  const symbolic::Encoding& enc = sp.enc();
+  const bdd::Bdd inv = sp.invariant();
+  core::Ranking out;
+  out.pim = enc.manager().falseBdd();
+  for (std::size_t j = 0; j < sp.processCount(); ++j) {
+    const bdd::Bdd all = sp.candidates(j);
+    out.pim |= sp.processRelation(j) | (all & !sp.groupExpand(j, all, inv));
+  }
+  bdd::Bdd explored = inv;
+  bdd::Bdd frontier = inv;
+  out.ranks.push_back(inv);
+  for (;;) {
+    frontier = sp.preimage(out.pim, frontier) & enc.validCur() & !explored;
+    if (frontier.isFalse()) break;
+    out.ranks.push_back(frontier);
+    explored |= frontier;
+  }
+  out.unreachable = enc.validCur() & !explored;
+  return out;
+}
+
+void expectSameRanking(const symbolic::SymbolicProtocol& sp,
+                       const std::string& what) {
+  const core::Ranking want = frontierRanks(sp);
+  for (const symbolic::ImagePolicy policy :
+       {symbolic::ImagePolicy::Monolithic, symbolic::ImagePolicy::PerProcess,
+        symbolic::ImagePolicy::Auto}) {
+    const core::Ranking got = core::computeRanks(sp, nullptr, policy, 1);
+    const std::string where = what + " policy " + symbolic::toString(policy);
+    EXPECT_TRUE(got.pim == want.pim) << where;
+    ASSERT_EQ(got.ranks.size(), want.ranks.size()) << where;
+    for (std::size_t i = 0; i < want.ranks.size(); ++i) {
+      EXPECT_TRUE(got.ranks[i] == want.ranks[i]) << where << " rank " << i;
+    }
+    EXPECT_TRUE(got.unreachable == want.unreachable) << where;
+  }
+}
+
+class RankingOperands : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(RankingOperands, ExploredBfsEqualsFrontierBfs) {
+  util::Rng rng(GetParam() * 3581 + 11);
+  for (int instance = 0; instance < 6; ++instance) {
+    const protocol::Protocol p = randomProtocol(rng, /*guarded=*/true);
+    const symbolic::Encoding enc(p);
+    const symbolic::SymbolicProtocol sp(enc);
+    EXPECT_FALSE(sp.protocolRelation().isFalse());
+    expectSameRanking(sp, "seed " + std::to_string(GetParam()) +
+                              " instance " + std::to_string(instance));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RankingOperands,
+                         ::testing::Range<std::uint64_t>(0, 24));
+
+TEST(RankingOperandsCaseStudies, ExploredBfsEqualsFrontierBfs) {
+  const std::vector<std::pair<std::string, protocol::Protocol>> studies{
+      {"token_ring(4,3)", casestudies::tokenRing(4, 3)},
+      {"matching(5)", casestudies::matching(5)},
+      {"coloring(5)", casestudies::coloring(5)},
+      {"gouda_acharya(5)", casestudies::matchingGoudaAcharyaAsPrinted(5)}};
+  for (const auto& [name, p] : studies) {
+    const symbolic::Encoding enc(p);
+    const symbolic::SymbolicProtocol sp(enc);
+    expectSameRanking(sp, name);
+  }
+}
 
 }  // namespace
