@@ -32,12 +32,7 @@
 // including the Bdd handle ref/deref path, so a cross-thread access
 // crashes instead of corrupting counters or the node pool silently.
 // Distinct Managers are independent, so parallel synthesis instances (one
-// per recovery schedule, as in the paper's Figure 1) each own a Manager,
-// and the parallel image pool (symbolic/parallel.hpp) gives each worker
-// thread a private Manager populated via transfer(). The one sanctioned
-// cross-thread access is transfer()'s read of a QUIESCENT source manager:
-// raw node reads only, while the owning thread is blocked with
-// happens-before established by the caller (see transfer below).
+// per recovery schedule, as in the paper's Figure 1) each own a Manager.
 #pragma once
 
 #include <cassert>
@@ -299,8 +294,6 @@ class Manager {
 
  private:
   friend class Bdd;
-  friend Bdd transfer(const Bdd& f, Manager& target,
-                      std::size_t* copiedNodes);
   friend void saveBdd(std::ostream& os, const Bdd& f);
   /// Test-only backdoor (defined by the test binaries) used to plant
   /// adversarial cache entries for the GC sweep regression tests.
@@ -523,31 +516,5 @@ void saveBdd(std::ostream& os, const Bdd& f);
 /// references, rows not depending on their declared variable, variable
 /// count exceeding the manager's).
 [[nodiscard]] Bdd loadBdd(std::istream& is, Manager& manager);
-
-/// Copies `f` into `target` (which must have at least as many variables)
-/// and returns the equivalent function there. Memoized per call, so a
-/// shared subgraph is copied once; `copiedNodes`, when non-null, is
-/// incremented by the number of source nodes actually visited (== f's
-/// node count). Correct under DIVERGENT variable orders: each node is
-/// rebuilt as var.ite(high, low), which re-canonicalizes against the
-/// target's order (the loadBdd scheme).
-///
-/// Thread contract: the TARGET manager must be owned by the calling
-/// thread; the SOURCE manager is accessed through raw read-only node
-/// loads (no handle copies, no ref-count traffic), so a caller may
-/// transfer out of a manager owned by a different thread provided that
-/// thread is quiescent for the duration of the call and a happens-before
-/// edge orders its last write before this read (the parallel image pool's
-/// job handshake provides both).
-[[nodiscard]] Bdd transfer(const Bdd& f, Manager& target,
-                           std::size_t* copiedNodes = nullptr);
-
-/// Disjunction of `fs` combined as a balanced reduction tree (pairwise
-/// rounds) instead of a left fold, so the intermediate operands stay as
-/// small as the inputs allow. Returns m.falseBdd() for an empty span.
-/// `depth`, when non-null, receives the tree depth (ceil(log2 |fs|); 0
-/// for 0 or 1 inputs). All inputs must live in `m`.
-[[nodiscard]] Bdd orReduce(Manager& m, std::span<const Bdd> fs,
-                           std::size_t* depth = nullptr);
 
 }  // namespace stsyn::bdd

@@ -1,9 +1,7 @@
 #include "cli/options.hpp"
 
-#include <algorithm>
 #include <cstring>
 #include <ostream>
-#include <thread>
 
 namespace stsyn::cli {
 
@@ -24,7 +22,7 @@ std::optional<std::uint64_t> parseUint(std::string_view s,
 int usage(std::ostream& err) {
   err << "usage: stsyn <protocol.stsyn> [--weak] [--schedule P1,P0,...]"
          " [--max-pass N] [--no-greedy] [--image-policy"
-         " monolithic|perprocess|auto|both] [--image-workers N]"
+         " monolithic|perprocess|auto|both]"
          " [--var-order declared|static] [--orbit-prune]"
          " [--timeout MS] [--print] [--quiet]"
          " [--stats-json FILE] [--trace FILE]\n"
@@ -80,6 +78,14 @@ int parseArgs(int argc, const char* const* argv, Options& out,
 
   for (int i = argStart; i < argc; ++i) {
     const char* a = argv[i];
+    // Matches a flag that takes a value; a trailing one without its value
+    // sets `missingValue` so the error below names the right problem.
+    bool missingValue = false;
+    const auto valueFlag = [&](const char* flag) {
+      if (std::strcmp(a, flag) != 0) return false;
+      missingValue = i + 1 == argc;
+      return !missingValue;
+    };
     if (!std::strcmp(a, "--weak")) {
       weak = true;
     } else if (!std::strcmp(a, "--verify")) {
@@ -95,7 +101,7 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       if (out.lintFormat != "text" && out.lintFormat != "sarif") {
         return usage(err);
       }
-    } else if (!std::strcmp(a, "--portfolio") && i + 1 < argc) {
+    } else if (valueFlag("--portfolio")) {
       std::uint64_t n = 0;
       if (!uintFlag("--portfolio", argv[++i], kMaxPortfolioThreads, n)) {
         return usage(err);
@@ -109,30 +115,21 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       out.strong.greedyCycleResolution = false;
     } else if (!std::strcmp(a, "--explain")) {
       out.explain = true;
-    } else if (!std::strcmp(a, "--schedule") && i + 1 < argc) {
+    } else if (valueFlag("--schedule")) {
       out.scheduleArg = argv[++i];
-    } else if (!std::strcmp(a, "--image-policy") && i + 1 < argc) {
+    } else if (valueFlag("--image-policy")) {
       imagePolicyArg = argv[++i];
-    } else if (!std::strcmp(a, "--var-order") && i + 1 < argc) {
+    } else if (valueFlag("--var-order")) {
       varOrderArg = argv[++i];
     } else if (!std::strcmp(a, "--orbit-prune")) {
       out.orbitPrune = true;
-    } else if (!std::strcmp(a, "--image-workers") && i + 1 < argc) {
-      std::uint64_t n = 0;
-      if (!uintFlag("--image-workers", argv[++i], kMaxImageWorkers, n)) {
-        return usage(err);
-      }
-      // 0 = hardware concurrency, mirroring $STSYN_IMAGE_WORKERS.
-      out.strong.imageWorkers =
-          n == 0 ? std::max(1u, std::thread::hardware_concurrency())
-                 : static_cast<std::size_t>(n);
-    } else if (!std::strcmp(a, "--output") && i + 1 < argc) {
+    } else if (valueFlag("--output")) {
       out.outputPath = argv[++i];
-    } else if (!std::strcmp(a, "--stats-json") && i + 1 < argc) {
+    } else if (valueFlag("--stats-json")) {
       out.statsPath = argv[++i];
-    } else if (!std::strcmp(a, "--trace") && i + 1 < argc) {
+    } else if (valueFlag("--trace")) {
       out.tracePath = argv[++i];
-    } else if (!std::strcmp(a, "--max-pass") && i + 1 < argc) {
+    } else if (valueFlag("--max-pass")) {
       const auto n = parseUint(argv[++i], 3);
       if (!n.has_value() || *n == 0) {
         err << "stsyn: --max-pass expects 1, 2 or 3, got '" << argv[i]
@@ -140,15 +137,15 @@ int parseArgs(int argc, const char* const* argv, Options& out,
         return usage(err);
       }
       out.strong.maxPass = static_cast<int>(*n);
-    } else if (!std::strcmp(a, "--timeout") && i + 1 < argc) {
+    } else if (valueFlag("--timeout")) {
       if (!uintFlag("--timeout", argv[++i], kMaxTimeoutMs, out.timeoutMs)) {
         return usage(err);
       }
-    } else if (!std::strcmp(a, "--port") && i + 1 < argc) {
+    } else if (valueFlag("--port")) {
       std::uint64_t n = 0;
       if (!uintFlag("--port", argv[++i], 65535, n)) return usage(err);
       out.servePort = static_cast<unsigned>(n);
-    } else if (!std::strcmp(a, "--workers") && i + 1 < argc) {
+    } else if (valueFlag("--workers")) {
       const auto n = parseUint(argv[++i], kMaxServeWorkers);
       if (!n.has_value() || *n == 0) {
         err << "stsyn: --workers expects 1.." << kMaxServeWorkers
@@ -156,7 +153,7 @@ int parseArgs(int argc, const char* const* argv, Options& out,
         return usage(err);
       }
       out.serveWorkers = static_cast<unsigned>(*n);
-    } else if (!std::strcmp(a, "--queue") && i + 1 < argc) {
+    } else if (valueFlag("--queue")) {
       const auto n = parseUint(argv[++i], kMaxQueueCapacity);
       if (!n.has_value() || *n == 0) {
         err << "stsyn: --queue expects 1.." << kMaxQueueCapacity
@@ -164,19 +161,19 @@ int parseArgs(int argc, const char* const* argv, Options& out,
         return usage(err);
       }
       out.serveQueueCapacity = static_cast<unsigned>(*n);
-    } else if (!std::strcmp(a, "--cache") && i + 1 < argc) {
+    } else if (valueFlag("--cache")) {
       std::uint64_t n = 0;
       if (!uintFlag("--cache", argv[++i], kMaxCacheCapacity, n)) {
         return usage(err);
       }
       out.serveCacheCapacity = static_cast<unsigned>(n);
-    } else if (!std::strcmp(a, "--cache-dir") && i + 1 < argc) {
+    } else if (valueFlag("--cache-dir")) {
       out.serveCacheDir = argv[++i];
       if (out.serveCacheDir.empty()) {
         err << "stsyn: --cache-dir expects a non-empty path\n";
         return usage(err);
       }
-    } else if (!std::strcmp(a, "--max-inflight") && i + 1 < argc) {
+    } else if (valueFlag("--max-inflight")) {
       const auto n = parseUint(argv[++i], kMaxServeInflight);
       if (!n.has_value() || *n == 0) {
         err << "stsyn: --max-inflight expects 1.." << kMaxServeInflight
@@ -184,7 +181,11 @@ int parseArgs(int argc, const char* const* argv, Options& out,
         return usage(err);
       }
       out.serveMaxInflight = static_cast<unsigned>(*n);
+    } else if (missingValue) {
+      err << "stsyn: " << a << " expects a value\n";
+      return usage(err);
     } else if (a[0] == '-') {
+      err << "stsyn: unknown option '" << a << "'\n";
       return usage(err);
     } else if (path == nullptr) {
       path = a;

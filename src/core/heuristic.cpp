@@ -36,13 +36,11 @@ namespace {
 class Synthesizer {
  public:
   Synthesizer(const SymbolicProtocol& sp, const Schedule& schedule,
-              SynthesisStats& stats, symbolic::ImagePolicy policy,
-              std::size_t workers)
+              SynthesisStats& stats, symbolic::ImagePolicy policy)
       : sp_(sp),
         schedule_(schedule),
         stats_(stats),
         policy_(policy),
-        workers_(workers == 0 ? 1 : workers),
         inv_(sp.invariant()),
         notI_(sp.enc().validCur() & !inv_),
         pssProc_(sp.processCount()),
@@ -52,7 +50,7 @@ class Synthesizer {
       added_[j] = sp.manager().falseBdd();
     }
     rebuildUnion();
-    engine_.emplace(sp_, pssProc_, policy_, workers_);
+    engine_.emplace(sp_, pssProc_, policy_);
     deadlocks_ = computeDeadlocks();
   }
 
@@ -81,7 +79,7 @@ class Synthesizer {
     }
     if (!sccs.components.empty()) {
       rebuildUnion();
-      engine_.emplace(sp_, pssProc_, policy_, workers_);
+      engine_.emplace(sp_, pssProc_, policy_);
       deadlocks_ = computeDeadlocks();
     }
     return true;
@@ -247,7 +245,6 @@ class Synthesizer {
   const Schedule& schedule_;
   SynthesisStats& stats_;
   symbolic::ImagePolicy policy_;
-  std::size_t workers_ = 1;
   Bdd inv_;
   Bdd notI_;
   std::vector<Bdd> pssProc_;
@@ -265,9 +262,6 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
   util::Stopwatch total;
   obs::Span synthSpan("add_strong_convergence", "synthesis");
   synthSpan.arg("image_policy", symbolic::toString(options.imagePolicy));
-  synthSpan.arg("image_workers",
-                options.imageWorkers == 0 ? std::size_t{1}
-                                          : options.imageWorkers);
 
   Schedule schedule = options.schedule.empty()
                           ? identitySchedule(sp.processCount())
@@ -282,16 +276,12 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
 
   out.stats.imagePolicy = symbolic::toString(options.imagePolicy);
   out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
-  out.stats.imageWorkers =
-      options.imageWorkers == 0 ? 1 : options.imageWorkers;
 
   // Preprocessing: ranking approximation (Section IV). Rank-infinity states
   // refute the existence of any stabilizing version (Theorem IV.1).
-  out.ranking =
-      computeRanks(sp, &out.stats, options.imagePolicy, options.imageWorkers);
+  out.ranking = computeRanks(sp, &out.stats, options.imagePolicy);
 
-  Synthesizer syn(sp, schedule, out.stats, options.imagePolicy,
-                  options.imageWorkers);
+  Synthesizer syn(sp, schedule, out.stats, options.imagePolicy);
 
   auto finish = [&](bool success, Failure failure) {
     out.success = success;

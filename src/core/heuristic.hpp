@@ -64,11 +64,6 @@ struct StrongOptions {
   /// partitioned products (see symbolic/frontier.hpp); the synthesized
   /// protocol is bit-identical either way.
   symbolic::ImagePolicy imagePolicy = symbolic::defaultImagePolicy();
-  /// Worker threads for partitioned per-process image products (1 =
-  /// sequential). Only the run's long-lived engines parallelize; the
-  /// per-candidate trial copies always run sequentially. The synthesized
-  /// protocol is bit-identical for every worker count.
-  std::size_t imageWorkers = symbolic::defaultImageWorkers();
 };
 
 struct StrongResult {

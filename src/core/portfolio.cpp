@@ -14,8 +14,6 @@ namespace stsyn::core {
 PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
                                     const std::vector<Schedule>& schedules,
                                     const PortfolioOptions& options) {
-  std::size_t imageWorkers = options.imageWorkers;
-  if (imageWorkers == 0) imageWorkers = symbolic::defaultImageWorkers();
   std::vector<symbolic::ImagePolicy> pols = options.policies;
   if (pols.empty()) pols.push_back(symbolic::defaultImagePolicy());
 
@@ -127,7 +125,6 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
         StrongOptions opt;
         opt.schedule = inst.schedule;
         opt.imagePolicy = inst.imagePolicy;
-        opt.imageWorkers = imageWorkers;
         try {
           inst.result = addStrongConvergence(*inst.symbolic, opt);
         } catch (const util::CancelledError&) {
@@ -202,12 +199,10 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
                                     const std::vector<Schedule>& schedules,
                                     unsigned threads,
                                     std::span<const symbolic::ImagePolicy>
-                                        policies,
-                                    std::size_t imageWorkers) {
+                                        policies) {
   PortfolioOptions options;
   options.threads = threads;
   options.policies.assign(policies.begin(), policies.end());
-  options.imageWorkers = imageWorkers;
   return synthesizePortfolio(proto, schedules, options);
 }
 

@@ -11,8 +11,7 @@ namespace stsyn::core {
 using bdd::Bdd;
 
 Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
-                     SynthesisStats* stats, symbolic::ImagePolicy policy,
-                     std::size_t workers) {
+                     SynthesisStats* stats, symbolic::ImagePolicy policy) {
   double elapsed = 0.0;
   Ranking out;
   std::size_t frontierSteps = 0;
@@ -36,8 +35,7 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
       pimParts.push_back(sp.processRelation(j) |
                          (sp.candidates(j) & !sp.hideUnreadables(j, inv)));
     }
-    const symbolic::ImageEngine engine(sp, std::move(pimParts), policy,
-                                       workers);
+    const symbolic::ImageEngine engine(sp, std::move(pimParts), policy);
     out.pim = engine.relation();
 
     // Step 2: backward BFS from I. Each round collects the states outside
@@ -64,7 +62,6 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
     timeIt.span().arg("ranks", out.maxRank());
     timeIt.span().arg("complete", out.complete());
     timeIt.span().arg("image_policy", symbolic::toString(engine.policy()));
-    timeIt.span().arg("image_workers", engine.workerCount());
     timeIt.span().arg("frontier_steps", frontierSteps);
   }
   if (stats != nullptr) {

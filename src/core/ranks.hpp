@@ -46,12 +46,9 @@ struct Ranking {
 /// from a state predicate, with no relational product. Each BFS round takes
 /// the preimage of the whole explored set: on coloring(30) the explored
 /// sets' preimages total 46k nodes where the newest ranks' total 414k. The
-/// BFS runs over p_im kept as per-process parts, combined per `policy` and,
-/// when the engine partitions and `workers` > 1, computed by the parallel
-/// image pool (bit-identical results; see symbolic/parallel.hpp).
+/// BFS runs over p_im kept as per-process parts, combined per `policy`.
 [[nodiscard]] Ranking computeRanks(
     const symbolic::SymbolicProtocol& sp, SynthesisStats* stats = nullptr,
-    symbolic::ImagePolicy policy = symbolic::defaultImagePolicy(),
-    std::size_t workers = symbolic::defaultImageWorkers());
+    symbolic::ImagePolicy policy = symbolic::defaultImagePolicy());
 
 }  // namespace stsyn::core

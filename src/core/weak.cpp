@@ -5,14 +5,12 @@
 namespace stsyn::core {
 
 WeakResult addWeakConvergence(const symbolic::SymbolicProtocol& sp,
-                              symbolic::ImagePolicy policy,
-                              std::size_t workers) {
+                              symbolic::ImagePolicy policy) {
   WeakResult out;
   util::Stopwatch total;
   out.stats.imagePolicy = symbolic::toString(policy);
   out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
-  out.stats.imageWorkers = workers == 0 ? 1 : workers;
-  out.ranking = computeRanks(sp, &out.stats, policy, workers);
+  out.ranking = computeRanks(sp, &out.stats, policy);
   out.relation = out.ranking.pim;
   out.rankInfinityStates = out.ranking.unreachable;
   out.success = out.ranking.complete();

@@ -26,7 +26,6 @@ struct WeakResult {
 
 [[nodiscard]] WeakResult addWeakConvergence(
     const symbolic::SymbolicProtocol& sp,
-    symbolic::ImagePolicy policy = symbolic::defaultImagePolicy(),
-    std::size_t workers = symbolic::defaultImageWorkers());
+    symbolic::ImagePolicy policy = symbolic::defaultImagePolicy());
 
 }  // namespace stsyn::core

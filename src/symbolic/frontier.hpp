@@ -52,9 +52,7 @@ enum class ImagePolicy {
   /// PerProcess only when the materialized union outgrows the parts'
   /// summed node counts (sharing-starved union — per-part products then
   /// traverse fewer nodes than one product against the union), else
-  /// Monolithic. See kAutoPartitionNodeThreshold. With workers > 1 the
-  /// blow-up check is skipped: any engine past the size threshold
-  /// partitions, because partitioning is what exposes the parallelism.
+  /// Monolithic. See kAutoPartitionNodeThreshold.
   Auto,
 };
 
@@ -69,12 +67,6 @@ enum class ImagePolicy {
 /// every call so tests and embedders can flip the environment between
 /// engines (the old once-cached behavior silently ignored such changes).
 [[nodiscard]] ImagePolicy defaultImagePolicy();
-
-/// The process-wide default worker count for partitioned per-process
-/// engines: $STSYN_IMAGE_WORKERS when set to a positive integer, "0" for
-/// hardware concurrency, else 1 (sequential; unparseable values warn once
-/// on stderr). Re-read on every call, like defaultImagePolicy().
-[[nodiscard]] std::size_t defaultImageWorkers();
 
 /// Below this many summed part nodes Auto always resolves Monolithic:
 /// the engine is too small for per-part bookkeeping to pay regardless of
@@ -97,11 +89,7 @@ struct ImageEngineStats {
   std::size_t imageCalls = 0;     ///< image() invocations
   std::size_t preimageCalls = 0;  ///< preimage() invocations
   std::size_t partProducts = 0;   ///< per-part relational products computed
-  std::size_t transferNodes = 0;  ///< nodes copied across worker managers
-  std::size_t reduceDepth = 0;    ///< max OR-reduction tree depth observed
 };
-
-class ParallelImagePool;
 
 /// A transition relation prepared for repeated image/preimage products.
 ///
@@ -119,13 +107,8 @@ class ImageEngine {
   /// Per-process partitioned engine: parts[j] holds process j's
   /// transitions and must imply frame(j). parts.size() must equal
   /// sp.processCount(). Auto resolves here from the part node counts.
-  /// `workers` > 1 spins up a ParallelImagePool (worker-local shadow
-  /// managers, see symbolic/parallel.hpp) when the engine resolves to a
-  /// partitioned per-process mode with at least two parts; results are
-  /// BDD-for-BDD identical to the sequential path.
   ImageEngine(const SymbolicProtocol& sp, std::vector<bdd::Bdd> parts,
-              ImagePolicy policy = defaultImagePolicy(),
-              std::size_t workers = defaultImageWorkers());
+              ImagePolicy policy = defaultImagePolicy());
 
   /// Generic partitioned engine over an arbitrary disjunctive split; no
   /// frame structure is assumed, so products use the full state cubes.
@@ -139,26 +122,12 @@ class ImageEngine {
 
   /// Engine over the input protocol's own per-process relations.
   [[nodiscard]] static ImageEngine forProtocol(
-      const SymbolicProtocol& sp, ImagePolicy policy = defaultImagePolicy(),
-      std::size_t workers = defaultImageWorkers());
-
-  /// Copies share the stats counter but DROP the worker pool: the
-  /// synthesis hot loop copies engines by the thousand (candidate
-  /// engines, restricted() trims), and replicating shards per copy would
-  /// swamp any parallel win. Copies therefore run sequentially.
-  ImageEngine(const ImageEngine& other);
-  ImageEngine& operator=(const ImageEngine& other);
-  ImageEngine(ImageEngine&&) noexcept;
-  ImageEngine& operator=(ImageEngine&&) noexcept;
-  ~ImageEngine();
+      const SymbolicProtocol& sp, ImagePolicy policy = defaultImagePolicy());
 
   [[nodiscard]] const SymbolicProtocol& sp() const { return *sp_; }
 
   /// True when products run per part (resolved policy).
   [[nodiscard]] bool partitioned() const { return partitioned_; }
-
-  /// Worker threads serving the per-part products (1 = sequential).
-  [[nodiscard]] std::size_t workerCount() const;
 
   /// The resolved policy (never Auto).
   [[nodiscard]] ImagePolicy policy() const {
@@ -216,18 +185,13 @@ class ImageEngine {
   }
 
  private:
-  struct PerProcessTag {};
   struct GenericTag {};
-  ImageEngine(PerProcessTag, const SymbolicProtocol& sp,
-              std::vector<bdd::Bdd> parts, ImagePolicy policy,
-              std::size_t workers);
   ImageEngine(GenericTag, const SymbolicProtocol& sp,
               std::vector<bdd::Bdd> parts, ImagePolicy policy);
 
   void buildProcessOps();
   void stripFrame(std::size_t j);
-  void buildPool();
-  [[nodiscard]] bool resolveAuto(std::size_t workers) const;
+  [[nodiscard]] bool resolveAuto() const;
   [[nodiscard]] bdd::Bdd imagePart(std::size_t i, const bdd::Bdd& s) const;
   [[nodiscard]] bdd::Bdd preimagePart(std::size_t i, const bdd::Bdd& s) const;
 
@@ -240,11 +204,6 @@ class ImageEngine {
     bdd::Bdd nextUnwrittenCube;  ///< next levels of everything else
     std::vector<bdd::Var> nextToCurWritten;  ///< partial rename, next->cur
     std::vector<bdd::Var> curToNextWritten;  ///< partial rename, cur->next
-    /// Raw variable index lists behind the two written cubes, kept so the
-    /// worker pool can rebuild the cubes in its shadow managers (variable
-    /// indices are manager-independent; cube BDDs are not).
-    std::vector<bdd::Var> curWrittenVars;
-    std::vector<bdd::Var> nextWrittenVars;
   };
 
   const SymbolicProtocol* sp_ = nullptr;
@@ -252,13 +211,9 @@ class ImageEngine {
   std::vector<ProcessOps> ops_;  ///< empty unless per-process partitioned
   bool perProcess_ = false;      ///< parts are per-process (frame structure)
   bool partitioned_ = false;     ///< resolved policy
-  std::size_t workers_ = 1;      ///< requested workers (copies reset to 1)
   mutable bdd::Bdd union_;       ///< memoized relation(); null until built
   std::shared_ptr<ImageEngineStats> stats_ =
       std::make_shared<ImageEngineStats>();
-  /// Live only in partitioned per-process mode with workers_ > 1 and at
-  /// least two parts; null otherwise (and always null in copies).
-  std::unique_ptr<ParallelImagePool> pool_;
 };
 
 }  // namespace stsyn::symbolic

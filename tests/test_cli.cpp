@@ -80,7 +80,6 @@ TEST(ParseArgs, EveryNumericFlagRejectsGarbage) {
   const std::vector<std::vector<const char*>> bad = {
       {"p.stsyn", "--portfolio", "2x"},
       {"p.stsyn", "--portfolio", "-1"},
-      {"p.stsyn", "--image-workers", "many"},
       {"p.stsyn", "--max-pass", "0"},
       {"p.stsyn", "--max-pass", "4"},
       {"p.stsyn", "--max-pass", "two"},
@@ -102,14 +101,28 @@ TEST(ParseArgs, EveryNumericFlagRejectsGarbage) {
   }
 }
 
+TEST(ParseArgs, UnknownFlagIsNamedBeforeTheUsage) {
+  // --image-workers was removed; scripts still passing it must learn why
+  // they got exit 2.
+  cli::Options opt;
+  std::string err;
+  EXPECT_EQ(parse({"p.stsyn", "--image-workers", "many"}, opt, &err), 2);
+  EXPECT_EQ(err.rfind("stsyn: unknown option '--image-workers'\nusage:", 0),
+            0u)
+      << err;
+
+  // A known flag missing its value is not called unknown.
+  opt = {};
+  EXPECT_EQ(parse({"p.stsyn", "--timeout"}, opt, &err), 2);
+  EXPECT_EQ(err.rfind("stsyn: --timeout expects a value\nusage:", 0), 0u)
+      << err;
+}
+
 TEST(ParseArgs, NumericFlagsInRangeParse) {
   cli::Options opt;
-  ASSERT_EQ(parse({"p.stsyn", "--portfolio", "4", "--image-workers", "3",
-                   "--max-pass", "2"},
-                  opt),
+  ASSERT_EQ(parse({"p.stsyn", "--portfolio", "4", "--max-pass", "2"}, opt),
             -1);
   EXPECT_EQ(opt.portfolio, 4u);
-  EXPECT_EQ(opt.strong.imageWorkers, 3u);
   EXPECT_EQ(opt.strong.maxPass, 2);
 }
 

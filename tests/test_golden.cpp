@@ -33,19 +33,16 @@ using namespace stsyn;
 std::string synthesizedText(const protocol::Protocol& p,
                             const core::Schedule& schedule,
                             symbolic::ImagePolicy policy,
-                            const std::string& name,
-                            std::size_t imageWorkers = 1) {
+                            const std::string& name) {
   symbolic::Encoding enc(p);
   symbolic::SymbolicProtocol sp(enc);
   core::StrongOptions opt;
   opt.schedule = schedule;
   opt.imagePolicy = policy;
-  opt.imageWorkers = imageWorkers;
   const core::StrongResult r = core::addStrongConvergence(sp, opt);
   if (!r.success) {
     ADD_FAILURE() << "synthesis failed for " << name << " under "
-                  << symbolic::toString(policy) << " with " << imageWorkers
-                  << " workers";
+                  << symbolic::toString(policy);
     return {};
   }
   protocol::Protocol out = extraction::toProtocol(sp, r.addedPerProcess);
@@ -74,9 +71,8 @@ void checkGolden(const std::string& file, const std::string& actual) {
          "STSYN_UPDATE_GOLDEN=1 and review the diff";
 }
 
-/// Both policies — and the parallel worker pool at several widths — must
-/// print the identical protocol before it is compared against the
-/// snapshot.
+/// Both policies must print the identical protocol before it is compared
+/// against the snapshot.
 void checkPolicyInvariantGolden(const protocol::Protocol& p,
                                 const core::Schedule& schedule,
                                 const std::string& name) {
@@ -85,13 +81,6 @@ void checkPolicyInvariantGolden(const protocol::Protocol& p,
   const std::string part =
       synthesizedText(p, schedule, symbolic::ImagePolicy::PerProcess, name);
   EXPECT_EQ(mono, part) << name << ": policies synthesized different text";
-  for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-    const std::string parallel = synthesizedText(
-        p, schedule, symbolic::ImagePolicy::PerProcess, name, workers);
-    EXPECT_EQ(part, parallel)
-        << name << ": " << workers
-        << "-worker synthesis drifted from the sequential text";
-  }
   checkGolden(name + ".stsyn", mono);
 }
 

@@ -373,8 +373,12 @@ TEST(StatsJson, WriteJsonRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(doc->find("preimage_ops")->number, 13.0);
   EXPECT_DOUBLE_EQ(doc->find("image_part_products")->number, 44.0);
   EXPECT_DOUBLE_EQ(doc->find("frontier_steps")->number, 6.0);
-  // v2: cache_hit / deadline_exceeded became mandatory top-level keys.
-  EXPECT_EQ(core::kStatsJsonSchemaVersion, 2);
+  // v3: the parallel image pool's keys are gone.
+  for (const char* removed : {"image_workers", "transfer_nodes",
+                              "reduce_depth"}) {
+    EXPECT_EQ(doc->find(removed), nullptr) << removed;
+  }
+  EXPECT_EQ(core::kStatsJsonSchemaVersion, 3);
 }
 
 // The human-readable summary is consumed by eyeballs and by the existing

@@ -338,22 +338,4 @@ TEST(Portfolio, OrbitPruningMatchesStaticAnalysisRepresentatives) {
   }
 }
 
-TEST(Portfolio, ImageWorkersForwardedToEveryInstance) {
-  const protocol::Protocol p = casestudies::tokenRing(4, 3);
-  const std::vector<Schedule> schedules{core::identitySchedule(4)};
-  const std::vector<symbolic::ImagePolicy> policies{
-      symbolic::ImagePolicy::PerProcess};
-  const core::PortfolioResult seq =
-      core::synthesizePortfolio(p, schedules, 1, policies, /*imageWorkers=*/1);
-  const core::PortfolioResult par =
-      core::synthesizePortfolio(p, schedules, 1, policies, /*imageWorkers=*/2);
-  ASSERT_TRUE(seq.success());
-  ASSERT_TRUE(par.success());
-  EXPECT_EQ(par.winnerStats()->imageWorkers, 2u);
-  EXPECT_EQ(seq.winnerStats()->imageWorkers, 1u);
-  // Identical synthesis either way (canonicity): same pass, same program.
-  EXPECT_EQ(par.winnerStats()->passCompleted, seq.winnerStats()->passCompleted);
-  EXPECT_EQ(par.winnerStats()->programNodes, seq.winnerStats()->programNodes);
-}
-
 }  // namespace

@@ -351,77 +351,6 @@ TEST_P(ImagePolicyDifferential, StrongSynthesisIdenticalUnderBothPolicies) {
   }
 }
 
-TEST_P(ImagePolicyDifferential, ParallelWorkersIdenticalToSequential) {
-  // The worker-pool path (worker-local shadow managers + transfer + OR
-  // reduction tree) must reproduce the sequential partitioned products
-  // node-for-node at every worker count, including workers > parts.
-  util::Rng rng(GetParam() * 2654435761 + 17);  // same stream as Products
-  for (int instance = 0; instance < 2; ++instance) {
-    const protocol::Protocol p = randomProtocol(rng);
-    symbolic::Encoding enc(p);
-    symbolic::SymbolicProtocol sp(enc);
-    std::vector<bdd::Bdd> parts;
-    for (std::size_t j = 0; j < sp.processCount(); ++j) {
-      parts.push_back(sp.candidates(j));
-    }
-    const symbolic::ImageEngine seq(sp, parts,
-                                    symbolic::ImagePolicy::PerProcess,
-                                    /*workers=*/1);
-    const bdd::Bdd inv = sp.invariant();
-    const bdd::Bdd valid = sp.enc().validCur();
-    const std::vector<bdd::Bdd> sets{enc.manager().falseBdd(), valid, inv,
-                                     valid & !inv};
-    for (const std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
-      const symbolic::ImageEngine par(
-          sp, parts, symbolic::ImagePolicy::PerProcess, workers);
-      for (const bdd::Bdd& s : sets) {
-        EXPECT_EQ(seq.image(s), par.image(s))
-            << "seed " << GetParam() << " workers " << workers;
-        EXPECT_EQ(seq.preimage(s), par.preimage(s))
-            << "seed " << GetParam() << " workers " << workers;
-        EXPECT_EQ(seq.image(s, valid & !inv), par.image(s, valid & !inv));
-        EXPECT_EQ(seq.preimage(s, valid & !inv),
-                  par.preimage(s, valid & !inv));
-      }
-    }
-  }
-}
-
-TEST_P(ImagePolicyDifferential, ParallelStrongSynthesisIdenticalToSequential) {
-  util::Rng rng(GetParam() * 7919 + 13);  // same stream as the strong test
-  for (int instance = 0; instance < 2; ++instance) {
-    const protocol::Protocol p = randomProtocol(rng);
-    const explicitstate::StateSpace space(p);
-    if (space.invariantSize() == 0 || space.invariantSize() == space.size()) {
-      continue;
-    }
-    symbolic::Encoding enc(p);
-    symbolic::SymbolicProtocol sp(enc);
-    core::StrongOptions opt;
-    opt.imagePolicy = symbolic::ImagePolicy::PerProcess;
-    opt.imageWorkers = 1;
-    const core::StrongResult seq = core::addStrongConvergence(sp, opt);
-    opt.imageWorkers = 4;
-    const core::StrongResult par = core::addStrongConvergence(sp, opt);
-
-    ASSERT_EQ(seq.success, par.success)
-        << "seed " << GetParam() << " instance " << instance;
-    EXPECT_EQ(static_cast<int>(seq.failure), static_cast<int>(par.failure));
-    EXPECT_EQ(seq.stats.passCompleted, par.stats.passCompleted);
-    // Same manager, so Bdd equality is node identity.
-    EXPECT_EQ(seq.relation, par.relation);
-    EXPECT_EQ(seq.remainingDeadlocks, par.remainingDeadlocks);
-    ASSERT_EQ(seq.addedPerProcess.size(), par.addedPerProcess.size());
-    for (std::size_t j = 0; j < seq.addedPerProcess.size(); ++j) {
-      EXPECT_EQ(seq.addedPerProcess[j], par.addedPerProcess[j])
-          << "process " << j;
-    }
-    EXPECT_EQ(seq.stats.imageOps, par.stats.imageOps);
-    EXPECT_EQ(seq.stats.preimageOps, par.stats.preimageOps);
-    EXPECT_EQ(seq.stats.imagePartProducts, par.stats.imagePartProducts);
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Seeds, ImagePolicyDifferential,
                          ::testing::Range<std::uint64_t>(0, 24));
 
@@ -705,7 +634,7 @@ void expectSameRanking(const symbolic::SymbolicProtocol& sp,
   for (const symbolic::ImagePolicy policy :
        {symbolic::ImagePolicy::Monolithic, symbolic::ImagePolicy::PerProcess,
         symbolic::ImagePolicy::Auto}) {
-    const core::Ranking got = core::computeRanks(sp, nullptr, policy, 1);
+    const core::Ranking got = core::computeRanks(sp, nullptr, policy);
     const std::string where = what + " policy " + symbolic::toString(policy);
     EXPECT_TRUE(got.pim == want.pim) << where;
     ASSERT_EQ(got.ranks.size(), want.ranks.size()) << where;

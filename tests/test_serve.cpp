@@ -158,10 +158,16 @@ TEST(Serve, PingStatsAndInvalidRequests) {
       R"({"verb":"synthesize","protocol":"x","options":{"portfolio":"2x"}})"));
   EXPECT_EQ(badOption.find("kind")->str, "invalid_request");
 
-  auto unknownOption = parsed(roundTrip(
-      rs.port(),
-      R"({"verb":"synthesize","protocol":"x","options":{"threads":2}})"));
-  EXPECT_EQ(unknownOption.find("kind")->str, "invalid_request");
+  // Unknown keys are named in the error, including the removed
+  // image_workers, so old clients learn why they were refused.
+  for (const std::string key : {"threads", "image_workers"}) {
+    auto unknownOption = parsed(roundTrip(
+        rs.port(), R"({"verb":"synthesize","protocol":"x","options":{")" +
+                       key + R"(":2}})"));
+    EXPECT_EQ(unknownOption.find("kind")->str, "invalid_request");
+    EXPECT_EQ(unknownOption.find("error")->str,
+              "unknown option '" + key + "'");
+  }
 
   auto parseError = parsed(roundTrip(
       rs.port(), R"({"verb":"synthesize","protocol":"protocol oops"})"));
@@ -171,7 +177,7 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   // exactly one of synthesize / lint / inline / invalid, so the
   // reconciliation invariant `requests == synthesize + lint + inline +
   // invalid` holds with no leakage category.
-  EXPECT_EQ(rs.server.counters().invalid.load(), 6u);
+  EXPECT_EQ(rs.server.counters().invalid.load(), 7u);
 }
 
 TEST(Serve, CacheHitReplaysByteIdenticalResult) {
