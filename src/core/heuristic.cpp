@@ -171,10 +171,13 @@ class Synthesizer {
     // Identify_Resolve_Cycles: SCCs of (pss ∪ groups)|¬I; every group with
     // a transition inside a component is discarded. pss|¬I is acyclic by
     // construction throughout the passes, so every component lies in the
-    // batch's cycle cone: detection runs there only, and is skipped
-    // outright when the cone is empty (the batch provably closes no cycle).
+    // batch's cycle cone and takes one of its group edges: detection runs
+    // on the cone only, seeded with the sources of those edges, and is
+    // skipped outright when the cone is empty (the batch provably closes
+    // no cycle).
     const ImageEngine candidate = withGroups(j, groups);
     Bdd cone;
+    Bdd seeds;
     {
       obs::AccumSpan timeIt(stats_.sccSeconds, "acyclic_increment", "scc");
       cone = symbolic::cycleCone(candidate, groups, notI_,
@@ -185,8 +188,9 @@ class Synthesizer {
         commit(j, groups);
         return;
       }
+      seeds = sp_.sources(sp_.restrictRel(groups, cone));
     }
-    const symbolic::SccResult sccs = detectSccs(candidate, cone);
+    const symbolic::SccResult sccs = detectSccs(candidate, cone, &seeds);
     for (const Bdd& c : sccs.components) {
       const Bdd bad = groups & c & sp_.onNext(c);
       if (!bad.isFalse()) groups = groups.minus(sp_.groupExpand(j, bad));
@@ -219,12 +223,14 @@ class Synthesizer {
     return d;
   }
 
-  /// Non-trivial SCCs of the engine's relation within `domain` (all of ¬I
-  /// or a cycle cone), recorded in the stats and on the trace span.
+  /// Non-trivial SCCs of the engine's relation within `domain` (all of ¬I,
+  /// or a cycle cone with its seeds), recorded in the stats and on the
+  /// trace span.
   [[nodiscard]] symbolic::SccResult detectSccs(const ImageEngine& engine,
-                                               const Bdd& domain) {
+                                               const Bdd& domain,
+                                               const Bdd* seeds = nullptr) {
     obs::AccumSpan timeIt(stats_.sccSeconds, "scc_detect", "scc");
-    symbolic::SccResult r = symbolic::nontrivialSccs(engine, domain);
+    symbolic::SccResult r = symbolic::nontrivialSccs(engine, domain, seeds);
     stats_.addEngine(engine.drainStats());
     timeIt.span().arg("components", r.components.size());
     timeIt.span().arg("symbolic_steps", r.symbolicSteps);

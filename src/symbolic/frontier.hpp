@@ -112,7 +112,6 @@ class ImageEngine {
 
   /// Generic partitioned engine over an arbitrary disjunctive split; no
   /// frame structure is assumed, so products use the full state cubes.
-  /// Used by the span-of-parts SCC compatibility overloads.
   static ImageEngine generic(const SymbolicProtocol& sp,
                              std::vector<bdd::Bdd> parts,
                              ImagePolicy policy = defaultImagePolicy());

@@ -92,11 +92,14 @@ Bdd trimToCore(const ImageEngine& engine, const Bdd& domain,
 
 }  // namespace
 
-SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain) {
+SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain,
+                         const Bdd* seeds) {
   const SymbolicProtocol& sp = engine.sp();
   obs::Span span("nontrivial_sccs", "scc");
   span.arg("partitioned", engine.partitioned());
+  span.arg("seeded", seeds != nullptr);
   SccResult result;
+  std::size_t dropped = 0;
   const Bdd core = trimToCore(engine, domain, result.symbolicSteps);
   if (!core.isFalse()) {
     std::vector<Bdd> work{core};
@@ -107,7 +110,14 @@ SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain) {
       assert(v.implies(sp.enc().validCur()) &&
              "SCC work set escaped the valid state codes");
 
-      const Bdd pivot = sp.enc().stateBdd(sp.pickState(v));
+      // Seeds hit every non-trivial SCC, and SCCs never straddle work
+      // sets: a set without a seed holds only trivial ones.
+      const Bdd candidates = seeds != nullptr ? v & *seeds : v;
+      if (candidates.isFalse()) {
+        ++dropped;
+        continue;
+      }
+      const Bdd pivot = sp.enc().stateBdd(sp.pickState(candidates));
       const Lockstep ls = lockstep(engine, v, pivot, result.symbolicSteps);
 
       if (hasInternalEdge(engine, ls.scc)) {
@@ -120,13 +130,8 @@ SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain) {
   }
   span.arg("components", result.components.size());
   span.arg("symbolic_steps", result.symbolicSteps);
+  span.arg("dropped_worksets", dropped);
   return result;
-}
-
-SccResult nontrivialSccs(const SymbolicProtocol& sp,
-                         std::span<const Bdd> parts, const Bdd& domain) {
-  return nontrivialSccs(
-      ImageEngine::generic(sp, {parts.begin(), parts.end()}), domain);
 }
 
 SccResult nontrivialSccs(const SymbolicProtocol& sp, const Bdd& rel,
@@ -150,12 +155,6 @@ bool hasCycle(const ImageEngine& engine, const Bdd& domain) {
   span.arg("cyclic", cyclic);
   span.arg("symbolic_steps", steps);
   return cyclic;
-}
-
-bool hasCycle(const SymbolicProtocol& sp, std::span<const Bdd> parts,
-              const Bdd& domain) {
-  return hasCycle(ImageEngine::generic(sp, {parts.begin(), parts.end()}),
-                  domain);
 }
 
 bool hasCycle(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& domain) {

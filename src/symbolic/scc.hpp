@@ -7,8 +7,13 @@
 // with a cycle-core trimming prepass. Partitioning keeps every image and
 // preimage operand small and local (the per-process relations of ring
 // protocols touch only neighbouring variables), which is what lets the
-// coloring benchmark scale to the paper's 40 processes. Every result is
-// cross-checked against an explicit Tarjan oracle in the test suite.
+// coloring benchmark scale to the paper's 40 processes.
+//
+// Lockstep is the only backend. The heuristic runs it on a cycle cone
+// (cycleCone below) with pivots seeded from the increment's sources: on
+// those domains Gentilini's skeleton algorithm spent more symbolic steps
+// and more time (EXPERIMENTS.md, "Seeded SCC decomposition"). Every result
+// is cross-checked against an explicit Tarjan oracle in the test suite.
 #pragma once
 
 #include <vector>
@@ -32,47 +37,27 @@ struct SccResult {
 /// Computes the non-trivial SCCs of the engine's relation restricted to the
 /// state set `domain` (both endpoints inside `domain`). Per-part products
 /// are accounted into the engine's (shared) counters.
+///
+/// With `seeds`, every lockstep pivot is drawn from the seed states, and a
+/// work set holding no seed is dropped without a search. Precondition:
+/// `seeds` hits every non-trivial SCC of engine|domain — a component
+/// without a seed is silently missed. The heuristic's passes satisfy it
+/// with the sources of the increment's edges inside the cycle cone, since
+/// their base relation is acyclic and so every cycle takes an increment
+/// edge.
 [[nodiscard]] SccResult nontrivialSccs(const ImageEngine& engine,
-                                       const bdd::Bdd& domain);
-
-/// Span-of-parts convenience overload (generic partitioned engine).
-[[nodiscard]] SccResult nontrivialSccs(const SymbolicProtocol& sp,
-                                       std::span<const bdd::Bdd> parts,
-                                       const bdd::Bdd& domain);
+                                       const bdd::Bdd& domain,
+                                       const bdd::Bdd* seeds = nullptr);
 
 /// Monolithic-relation convenience overload.
 [[nodiscard]] SccResult nontrivialSccs(const SymbolicProtocol& sp,
                                        const bdd::Bdd& rel,
                                        const bdd::Bdd& domain);
 
-/// The skeleton-based algorithm of Gentilini, Piazza and Policriti — the
-/// paper's reference [21] — which achieves a LINEAR number of symbolic
-/// steps by reusing a spine ("skeleton") of the forward search as pivots
-/// for the recursive calls. Functionally identical to nontrivialSccs
-/// (tested); kept as an alternative backend and for the
-/// bench/ablation_scc_algorithms comparison.
-[[nodiscard]] SccResult nontrivialSccsSkeleton(const ImageEngine& engine,
-                                               const bdd::Bdd& domain);
-
-/// Span-of-parts convenience overload (generic partitioned engine).
-[[nodiscard]] SccResult nontrivialSccsSkeleton(const SymbolicProtocol& sp,
-                                               std::span<const bdd::Bdd> parts,
-                                               const bdd::Bdd& domain);
-
-/// Monolithic-relation convenience overload.
-[[nodiscard]] SccResult nontrivialSccsSkeleton(const SymbolicProtocol& sp,
-                                               const bdd::Bdd& rel,
-                                               const bdd::Bdd& domain);
-
 /// True iff the engine's relation restricted to `domain` contains a cycle —
 /// equivalent to nontrivialSccs(...).components being non-empty but cheaper
 /// when the caller only needs a yes/no answer.
 [[nodiscard]] bool hasCycle(const ImageEngine& engine, const bdd::Bdd& domain);
-
-/// Span-of-parts convenience overload (generic partitioned engine).
-[[nodiscard]] bool hasCycle(const SymbolicProtocol& sp,
-                            std::span<const bdd::Bdd> parts,
-                            const bdd::Bdd& domain);
 
 /// Monolithic-relation convenience overload.
 [[nodiscard]] bool hasCycle(const SymbolicProtocol& sp, const bdd::Bdd& rel,

@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 
+#include "casestudies/matching.hpp"
 #include "casestudies/token_ring.hpp"
 #include "core/heuristic.hpp"
 #include "core/stats.hpp"
@@ -448,6 +449,40 @@ TEST_F(TracerTest, SynthesisEmitsPhaseSpans) {
   const auto doc = parseJson(Tracer::global().chromeTraceJson());
   ASSERT_TRUE(doc.has_value());
   EXPECT_GE(doc->find("traceEvents")->items.size(), events.size());
+}
+
+TEST_F(TracerTest, SeededSccDetectionReportsDroppedWorksets) {
+  // matching(5) reaches full SCC detection in the passes, where seeding
+  // drops work sets unsearched.
+  Tracer::global().enable();
+  const protocol::Protocol p = casestudies::matching(5);
+  symbolic::Encoding enc(p);
+  symbolic::SymbolicProtocol sp(enc);
+  ASSERT_TRUE(core::addStrongConvergence(sp).success);
+
+  // The passes' detections are seeded; preprocessing's whole-¬I scan is
+  // not, and so never drops a work set.
+  std::size_t seeded = 0;
+  std::size_t dropped = 0;
+  for (const auto& e : Tracer::global().snapshot()) {
+    if (e.name != "nontrivial_sccs") continue;
+    auto arg = [&](const char* key) {
+      const auto it =
+          std::find_if(e.args.begin(), e.args.end(),
+                       [&](const TraceArg& a) { return a.key == key; });
+      EXPECT_NE(it, e.args.end()) << key;
+      return it == e.args.end() ? std::string() : it->json;
+    };
+    const bool isSeeded = arg("seeded") == "true";
+    const std::size_t drops = std::stoul(arg("dropped_worksets"));
+    seeded += isSeeded ? 1 : 0;
+    dropped += drops;
+    if (!isSeeded) {
+      EXPECT_EQ(drops, 0u);
+    }
+  }
+  EXPECT_GE(seeded, 1u);
+  EXPECT_GE(dropped, 1u);
 }
 
 }  // namespace

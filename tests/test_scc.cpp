@@ -194,68 +194,6 @@ TEST(SymbolicScc, TokenRingPaperCycleIsFound) {
   EXPECT_TRUE(found) << "paper's cycle state <1,2,1,0> not in any SCC";
 }
 
-class SkeletonSccRandom : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(SkeletonSccRandom, AgreesWithLockstepAndTarjan) {
-  const int n = 24;
-  const protocol::Protocol p = counterProtocol(n);
-  const Encoding enc(p);
-  const SymbolicProtocol sp(enc);
-  const explicitstate::StateSpace space(p);
-
-  util::Rng rng(GetParam() * 31 + 5);
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> edges;
-  const std::size_t edgeCount = 30 + rng.below(50);
-  for (std::size_t i = 0; i < edgeCount; ++i) {
-    edges.emplace_back(rng.below(n), rng.below(n));
-  }
-  const Bdd rel = relationOf(enc, sp, edges);
-
-  const auto lockstep =
-      canonical(enc, symbolic::nontrivialSccs(sp, rel, enc.validCur())
-                         .components);
-  const auto skeleton = canonical(
-      enc,
-      symbolic::nontrivialSccsSkeleton(sp, rel, enc.validCur()).components);
-  EXPECT_EQ(lockstep, skeleton) << "seed " << GetParam();
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, SkeletonSccRandom,
-                         ::testing::Range<std::uint64_t>(0, 20));
-
-TEST(SkeletonScc, MatchingRecoveryGraphAgrees) {
-  const protocol::Protocol p = casestudies::matching(5);
-  const Encoding enc(p);
-  const SymbolicProtocol sp(enc);
-  Bdd rel = enc.manager().falseBdd();
-  for (std::size_t j = 0; j < sp.processCount(); ++j) {
-    const Bdd all = sp.candidates(j);
-    rel |= all & !sp.groupExpand(j, all & sp.invariant());
-  }
-  const Bdd notI = enc.validCur() & !sp.invariant();
-  rel = sp.restrictRel(rel, notI);
-  const auto lockstep =
-      canonical(enc, symbolic::nontrivialSccs(sp, rel, notI).components);
-  const auto skeleton = canonical(
-      enc, symbolic::nontrivialSccsSkeleton(sp, rel, notI).components);
-  EXPECT_EQ(lockstep, skeleton);
-  EXPECT_FALSE(lockstep.empty());
-}
-
-TEST(SkeletonScc, EmptyAndAcyclicDomains) {
-  const protocol::Protocol p = counterProtocol(6);
-  const Encoding enc(p);
-  const SymbolicProtocol sp(enc);
-  const std::vector<std::pair<std::uint64_t, std::uint64_t>> chain{
-      {0, 1}, {1, 2}, {2, 3}};
-  const Bdd rel = relationOf(enc, sp, chain);
-  EXPECT_TRUE(symbolic::nontrivialSccsSkeleton(sp, rel, enc.validCur())
-                  .components.empty());
-  EXPECT_TRUE(symbolic::nontrivialSccsSkeleton(sp, enc.manager().falseBdd(),
-                                               enc.validCur())
-                  .components.empty());
-}
-
 TEST(PartitionedScc, AgreesWithMonolithic) {
   const protocol::Protocol p = casestudies::matching(4);
   const Encoding enc(p);
@@ -269,14 +207,16 @@ TEST(PartitionedScc, AgreesWithMonolithic) {
     rel |= part;
   }
   const Bdd notI = enc.validCur() & !sp.invariant();
+  const symbolic::ImageEngine partitioned =
+      symbolic::ImageEngine::generic(sp, parts);
   const auto mono = canonical(
       enc, symbolic::nontrivialSccs(sp, sp.restrictRel(rel, notI), notI)
                .components);
   const auto part = canonical(
-      enc, symbolic::nontrivialSccs(sp, parts, notI).components);
+      enc, symbolic::nontrivialSccs(partitioned, notI).components);
   EXPECT_EQ(mono, part);
   EXPECT_EQ(symbolic::hasCycle(sp, rel, notI),
-            symbolic::hasCycle(sp, parts, notI));
+            symbolic::hasCycle(partitioned, notI));
 }
 
 /// cycleCone over base ∪ delta (a monolithic engine, as in diagnose).
@@ -366,7 +306,7 @@ TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
   // A random acyclic base (edges only ascend a random ranking of the
   // states) plus a random delta that may close cycles, self-loops
   // included: the cone must hold exactly the components Tarjan finds over
-  // the whole domain.
+  // the whole domain, with or without pivots seeded from delta's sources.
   const int n = 24;
   const protocol::Protocol p = counterProtocol(n);
   const Encoding enc(p);
@@ -398,6 +338,10 @@ TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
       symbolic::cycleCone(combined, delta, enc.validCur(), &steps);
   const auto coneSccs =
       canonical(enc, symbolic::nontrivialSccs(combined, cone).components);
+  // The seeds the heuristic passes: every cycle takes a delta edge.
+  const Bdd seeds = sp.sources(sp.restrictRel(delta, cone));
+  const auto seededSccs = canonical(
+      enc, symbolic::nontrivialSccs(combined, cone, &seeds).components);
 
   std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
       explicitEdges(baseEdges.begin(), baseEdges.end());
@@ -409,8 +353,23 @@ TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
       canonicalExplicit(explicitstate::nontrivialSccs(ts, all));
 
   EXPECT_EQ(coneSccs, tarjanSccs) << "seed " << GetParam();
+  EXPECT_EQ(seededSccs, tarjanSccs) << "seed " << GetParam();
   EXPECT_EQ(symbolic::hasCycle(combined, cone), !tarjanSccs.empty())
       << "seed " << GetParam();
+  // Wrong seeds must show: without its seeds a component goes unfound.
+  for (const auto& component : tarjanSccs) {
+    Bdd states = enc.manager().falseBdd();
+    for (const std::uint64_t s : component) {
+      states |= enc.stateBdd(symbolic::unpackState(enc.proto(), s));
+    }
+    const Bdd missing = seeds.minus(states);
+    auto others = tarjanSccs;
+    std::erase(others, component);
+    EXPECT_EQ(canonical(enc, symbolic::nontrivialSccs(combined, cone, &missing)
+                                 .components),
+              others)
+        << "seed " << GetParam();
+  }
   // An empty cone certifies acyclicity. With one delta edge u -> v the
   // cone is empty exactly when v cannot reach u, i.e. when no cycle
   // exists; with several edges a non-empty cone may still be acyclic.
