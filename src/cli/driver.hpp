@@ -24,7 +24,6 @@ namespace stsyn::cli {
 /// One portfolio instance's outcome, copied out for the stats document.
 struct PortfolioRow {
   std::string schedule;
-  std::string imagePolicy;
   bool ran = false;
   bool success = false;
   bool pruned = false;

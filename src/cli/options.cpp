@@ -21,8 +21,7 @@ std::optional<std::uint64_t> parseUint(std::string_view s,
 
 int usage(std::ostream& err) {
   err << "usage: stsyn <protocol.stsyn> [--weak] [--schedule P1,P0,...]"
-         " [--max-pass N] [--no-greedy] [--image-policy"
-         " monolithic|perprocess|auto|both]"
+         " [--max-pass N] [--no-greedy]"
          " [--var-order declared|static] [--orbit-prune]"
          " [--timeout MS] [--print] [--quiet]"
          " [--stats-json FILE] [--trace FILE]\n"
@@ -61,7 +60,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
 
   const char* path = nullptr;
   unsigned portfolio = 0;
-  std::string imagePolicyArg;
   std::string varOrderArg;
   bool weak = false;
   bool verifyOnly = false;
@@ -117,8 +115,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       out.explain = true;
     } else if (valueFlag("--schedule")) {
       out.scheduleArg = argv[++i];
-    } else if (valueFlag("--image-policy")) {
-      imagePolicyArg = argv[++i];
     } else if (valueFlag("--var-order")) {
       varOrderArg = argv[++i];
     } else if (!std::strcmp(a, "--orbit-prune")) {
@@ -206,25 +202,7 @@ int parseArgs(int argc, const char* const* argv, Options& out,
     if (verifyOnly) out.mode = Mode::Verify;
   }
 
-  // Policies raced when --portfolio is active; a single entry otherwise.
   out.portfolio = portfolio;
-  if (imagePolicyArg == "both") {
-    if (portfolio == 0) {
-      err << "stsyn: --image-policy both requires --portfolio\n";
-      return 2;
-    }
-    out.policies = {symbolic::ImagePolicy::Monolithic,
-                    symbolic::ImagePolicy::PerProcess};
-  } else if (!imagePolicyArg.empty()) {
-    const auto parsed = symbolic::parseImagePolicy(imagePolicyArg);
-    if (!parsed.has_value()) {
-      err << "stsyn: unknown --image-policy '" << imagePolicyArg
-          << "' (expected monolithic|perprocess|auto|both)\n";
-      return 2;
-    }
-    out.strong.imagePolicy = *parsed;
-    out.policies = {*parsed};
-  }
   if (!varOrderArg.empty()) {
     const auto parsed = symbolic::parseVarOrder(varOrderArg);
     if (!parsed.has_value()) {

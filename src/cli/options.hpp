@@ -18,7 +18,6 @@
 #include "analysis/lint.hpp"
 #include "core/heuristic.hpp"
 #include "symbolic/encoding.hpp"
-#include "symbolic/frontier.hpp"
 
 namespace stsyn::cli {
 
@@ -59,8 +58,6 @@ struct Options {
   // Synthesis.
   core::StrongOptions strong;
   symbolic::EncodingOptions encoding;
-  /// Image policies raced when `portfolio > 0`; single entry otherwise.
-  std::vector<symbolic::ImagePolicy> policies;
   unsigned portfolio = 0;
   bool orbitPrune = false;
   bool explain = false;

@@ -1,7 +1,7 @@
 #include "core/heuristic.hpp"
 
-#include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "symbolic/scc.hpp"
@@ -31,30 +31,26 @@ const char* toString(Failure f) {
 namespace {
 
 /// Mutable synthesis state threaded through the passes. All fixpoints run
-/// through ImageEngines over the per-process parts of pss, so the policy
-/// decides between monolithic and partitioned products uniformly.
+/// through an ImageEngine over pss; the additions are also kept per
+/// process for extraction.
 class Synthesizer {
  public:
   Synthesizer(const SymbolicProtocol& sp, const Schedule& schedule,
-              SynthesisStats& stats, symbolic::ImagePolicy policy)
+              SynthesisStats& stats)
       : sp_(sp),
         schedule_(schedule),
         stats_(stats),
-        policy_(policy),
         inv_(sp.invariant()),
         notI_(sp.enc().validCur() & !inv_),
-        pssProc_(sp.processCount()),
-        added_(sp.processCount()) {
+        added_(sp.processCount()),
+        engine_(sp, sp.protocolRelation()) {
     for (std::size_t j = 0; j < sp.processCount(); ++j) {
-      pssProc_[j] = sp.processRelation(j);
       added_[j] = sp.manager().falseBdd();
     }
-    rebuildUnion();
-    engine_.emplace(sp_, pssProc_, policy_);
     deadlocks_ = computeDeadlocks();
   }
 
-  [[nodiscard]] const Bdd& pss() const { return pss_; }
+  [[nodiscard]] const Bdd& pss() const { return engine_.relation(); }
   [[nodiscard]] const Bdd& deadlocks() const { return deadlocks_; }
   [[nodiscard]] std::vector<Bdd> added() const { return added_; }
 
@@ -65,31 +61,36 @@ class Synthesizer {
   /// deadlocks are the passes' job to resolve.
   /// Detection scans all of ¬I here: the passes' acyclicity invariant that
   /// lets them restrict it to a cycle cone does not hold yet.
+  /// Runs before any recovery is added, so pss is still p.
   [[nodiscard]] bool removePreexistingCycles() {
-    const symbolic::SccResult sccs = detectSccs(*engine_, notI_);
+    const symbolic::SccResult sccs = detectSccs(engine_, notI_);
+    if (sccs.components.empty()) return true;
+    std::vector<Bdd> proc;
+    for (std::size_t j = 0; j < sp_.processCount(); ++j) {
+      proc.push_back(sp_.processRelation(j));
+    }
     for (const Bdd& c : sccs.components) {
       const Bdd inC = c & sp_.onNext(c);
       for (std::size_t j = 0; j < sp_.processCount(); ++j) {
-        const Bdd part = pssProc_[j] & inC;
+        const Bdd part = proc[j] & inC;
         if (part.isFalse()) continue;
-        const Bdd group = sp_.groupExpand(j, part) & pssProc_[j];
+        const Bdd group = sp_.groupExpand(j, part) & proc[j];
         if (!(group & inv_).isFalse()) return false;  // groupmate starts in I
-        pssProc_[j] = pssProc_[j].minus(group);
+        proc[j] = proc[j].minus(group);
       }
     }
-    if (!sccs.components.empty()) {
-      rebuildUnion();
-      engine_.emplace(sp_, pssProc_, policy_);
-      deadlocks_ = computeDeadlocks();
-    }
+    Bdd pss = sp_.manager().falseBdd();
+    for (const Bdd& r : proc) pss |= r;
+    engine_ = ImageEngine(sp_, std::move(pss));
+    deadlocks_ = computeDeadlocks();
     return true;
   }
 
   /// Does pss restricted to ¬I still contain a cycle? (The already-stable
   /// early exit of addStrongConvergence.)
   [[nodiscard]] bool hasCycleOutsideInvariant() {
-    const bool cyclic = symbolic::hasCycle(*engine_, notI_);
-    stats_.addEngine(engine_->drainStats());
+    const bool cyclic = symbolic::hasCycle(engine_, notI_);
+    stats_.addEngine(engine_.drainStats());
     return cyclic;
   }
 
@@ -119,7 +120,7 @@ class Synthesizer {
         {
           obs::AccumSpan timeIt(stats_.sccSeconds, "greedy_cycle_check",
                                 "scc");
-          const ImageEngine candidate = withGroups(j, group);
+          const ImageEngine candidate = withGroups(group);
           const Bdd cone = symbolic::cycleCone(candidate, group, notI_,
                                                &stats_.sccSymbolicSteps);
           cyclic = !cone.isFalse() && symbolic::hasCycle(candidate, cone);
@@ -175,7 +176,7 @@ class Synthesizer {
     // on the cone only, seeded with the sources of those edges, and is
     // skipped outright when the cone is empty (the batch provably closes
     // no cycle).
-    const ImageEngine candidate = withGroups(j, groups);
+    const ImageEngine candidate = withGroups(groups);
     Bdd cone;
     Bdd seeds;
     {
@@ -200,26 +201,23 @@ class Synthesizer {
     commit(j, groups);
   }
 
-  /// A candidate engine: pss with `groups` merged into process j's part.
-  [[nodiscard]] ImageEngine withGroups(std::size_t j, const Bdd& groups) {
-    ImageEngine candidate = *engine_;
-    candidate.growPart(j, groups);
+  /// A candidate engine: pss with `groups` added.
+  [[nodiscard]] ImageEngine withGroups(const Bdd& groups) const {
+    ImageEngine candidate = engine_;
+    candidate.grow(groups);
     return candidate;
   }
 
-  /// Adds an accepted batch to process j and the union/engine views.
+  /// Adds an accepted batch of process j to pss.
   void commit(std::size_t j, const Bdd& groups) {
     added_[j] |= groups;
-    pssProc_[j] |= groups;
-    pss_ |= groups;
-    engine_->growPart(j, groups);
+    engine_.grow(groups);
   }
 
-  /// Deadlocks of the current pss — valid ¬I states with no successor,
-  /// computed per part so the source scans stay local.
+  /// Deadlocks of the current pss — valid ¬I states with no successor.
   [[nodiscard]] Bdd computeDeadlocks() {
-    const Bdd d = sp_.enc().validCur() & !inv_ & !engine_->sources();
-    stats_.addEngine(engine_->drainStats());
+    const Bdd d = sp_.enc().validCur() & !inv_ & !engine_.sources();
+    stats_.addEngine(engine_.drainStats());
     return d;
   }
 
@@ -242,22 +240,14 @@ class Synthesizer {
     return r;
   }
 
-  void rebuildUnion() {
-    pss_ = sp_.manager().falseBdd();
-    for (const Bdd& r : pssProc_) pss_ |= r;
-  }
-
   const SymbolicProtocol& sp_;
   const Schedule& schedule_;
   SynthesisStats& stats_;
-  symbolic::ImagePolicy policy_;
   Bdd inv_;
   Bdd notI_;
-  std::vector<Bdd> pssProc_;
   std::vector<Bdd> added_;
-  Bdd pss_;
+  ImageEngine engine_;  ///< engine over pss
   Bdd deadlocks_;
-  std::optional<ImageEngine> engine_;  ///< engine over pssProc_
 };
 
 }  // namespace
@@ -267,7 +257,6 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
   StrongResult out;
   util::Stopwatch total;
   obs::Span synthSpan("add_strong_convergence", "synthesis");
-  synthSpan.arg("image_policy", symbolic::toString(options.imagePolicy));
 
   Schedule schedule = options.schedule.empty()
                           ? identitySchedule(sp.processCount())
@@ -280,14 +269,13 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
     throw std::invalid_argument("addStrongConvergence: maxPass must be 1..3");
   }
 
-  out.stats.imagePolicy = symbolic::toString(options.imagePolicy);
   out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
 
   // Preprocessing: ranking approximation (Section IV). Rank-infinity states
   // refute the existence of any stabilizing version (Theorem IV.1).
-  out.ranking = computeRanks(sp, &out.stats, options.imagePolicy);
+  out.ranking = computeRanks(sp, &out.stats);
 
-  Synthesizer syn(sp, schedule, out.stats, options.imagePolicy);
+  Synthesizer syn(sp, schedule, out.stats);
 
   auto finish = [&](bool success, Failure failure) {
     out.success = success;

@@ -23,7 +23,6 @@
 
 #include "core/ranks.hpp"
 #include "core/schedule.hpp"
-#include "symbolic/frontier.hpp"
 #include "symbolic/relations.hpp"
 
 namespace stsyn::core {
@@ -58,12 +57,6 @@ struct StrongOptions {
   /// acyclic. Sound for the same reason the other passes are; only runs
   /// when maxPass == 3. Disable to get exactly the published heuristic.
   bool greedyCycleResolution = true;
-  /// Image/preimage computation policy for every fixpoint of the run —
-  /// ranking BFS, deadlock scans, cycle checks and SCC detection. The
-  /// policy selects between one monolithic relation and per-process
-  /// partitioned products (see symbolic/frontier.hpp); the synthesized
-  /// protocol is bit-identical either way.
-  symbolic::ImagePolicy imagePolicy = symbolic::defaultImagePolicy();
 };
 
 struct StrongResult {

@@ -14,19 +14,15 @@ namespace stsyn::core {
 PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
                                     const std::vector<Schedule>& schedules,
                                     const PortfolioOptions& options) {
-  std::vector<symbolic::ImagePolicy> pols = options.policies;
-  if (pols.empty()) pols.push_back(symbolic::defaultImagePolicy());
-
   PortfolioResult out;
-  const std::size_t total = schedules.size() * pols.size();
+  const std::size_t total = schedules.size();
   out.instances.resize(total);
   if (total == 0) return out;
 
-  // Prefill every instance's identity so skipped/pruned rows still report
-  // their schedule and policy.
+  // Prefill every instance's schedule so skipped/pruned rows still report
+  // it.
   for (std::size_t i = 0; i < total; ++i) {
-    out.instances[i].schedule = schedules[i / pols.size()];
-    out.instances[i].imagePolicy = pols[i % pols.size()];
+    out.instances[i].schedule = schedules[i];
   }
 
   // Orbit pruning: schedules whose orbit signature repeats an earlier
@@ -45,8 +41,7 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
     const std::vector<std::size_t> reps =
         analysis::scheduleRepresentatives(orbits, schedules);
     for (std::size_t i = 0; i < total; ++i) {
-      const std::size_t s = i / pols.size();
-      if (reps[s] == s) {
+      if (reps[i] == i) {
         upfront.push_back(i);
       } else {
         out.instances[i].pruned = true;
@@ -64,7 +59,6 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
   const util::Stopwatch portfolioWatch;
   obs::Span portfolioSpan("portfolio", "portfolio");
   portfolioSpan.arg("schedules", schedules.size());
-  portfolioSpan.arg("policies", pols.size());
   portfolioSpan.arg("threads", static_cast<std::size_t>(threads));
   if (options.orbitPrune) {
     portfolioSpan.arg("symmetry_orbits", out.symmetryOrbits);
@@ -116,7 +110,6 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
         inst.ran = true;
         obs::Span span("portfolio_instance", "portfolio");
         span.arg("schedule", toString(inst.schedule));
-        span.arg("image_policy", symbolic::toString(inst.imagePolicy));
         const util::Stopwatch watch;
         inst.encoding =
             std::make_unique<symbolic::Encoding>(proto, options.encoding);
@@ -124,7 +117,6 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
             std::make_unique<symbolic::SymbolicProtocol>(*inst.encoding);
         StrongOptions opt;
         opt.schedule = inst.schedule;
-        opt.imagePolicy = inst.imagePolicy;
         try {
           inst.result = addStrongConvergence(*inst.symbolic, opt);
         } catch (const util::CancelledError&) {
@@ -197,12 +189,9 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
 
 PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
                                     const std::vector<Schedule>& schedules,
-                                    unsigned threads,
-                                    std::span<const symbolic::ImagePolicy>
-                                        policies) {
+                                    unsigned threads) {
   PortfolioOptions options;
   options.threads = threads;
-  options.policies.assign(policies.begin(), policies.end());
   return synthesizePortfolio(proto, schedules, options);
 }
 

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 
 #include "core/heuristic.hpp"
 
@@ -18,8 +17,6 @@ namespace stsyn::core {
 /// live in; the input protocol must outlive this object.
 struct PortfolioInstance {
   Schedule schedule;
-  /// The image policy this instance synthesized under.
-  symbolic::ImagePolicy imagePolicy = symbolic::ImagePolicy::Auto;
   std::unique_ptr<symbolic::Encoding> encoding;
   std::unique_ptr<symbolic::SymbolicProtocol> symbolic;
   StrongResult result;
@@ -79,9 +76,6 @@ struct PortfolioResult {
 struct PortfolioOptions {
   /// Worker threads (0 = hardware concurrency).
   unsigned threads = 0;
-  /// Second portfolio axis; empty means the process-wide default policy
-  /// only, so plain call sites get exactly one instance per schedule.
-  std::vector<symbolic::ImagePolicy> policies;
   /// Encoding seed (variable order) every instance is built with.
   symbolic::EncodingOptions encoding;
   /// Dedupe schedules equivalent under process symmetry orbits
@@ -95,10 +89,10 @@ struct PortfolioOptions {
   bool orbitPrune = false;
 };
 
-/// Runs the heuristic once per (schedule, image policy) pair. Instances
-/// are ordered schedule-major, policy-minor. Workers stop claiming new
-/// instances once any instance succeeds; an instance already past that
-/// check runs to completion. Deterministic: the outcome of each instance
+/// Runs the heuristic once per schedule, one instance per schedule in
+/// input order. Workers stop claiming new instances once any instance
+/// succeeds; an instance already past that check runs to completion.
+/// Deterministic: the outcome of each instance
 /// is independent of the thread interleaving, and the winner is the first
 /// successful instance in claim order (claims are handed out in
 /// increasing order, so a skipped index always has a successful — and
@@ -113,7 +107,6 @@ struct PortfolioOptions {
 /// Back-compat wrapper over the options overload.
 [[nodiscard]] PortfolioResult synthesizePortfolio(
     const protocol::Protocol& proto, const std::vector<Schedule>& schedules,
-    unsigned threads = 0,
-    std::span<const symbolic::ImagePolicy> policies = {});
+    unsigned threads = 0);
 
 }  // namespace stsyn::core

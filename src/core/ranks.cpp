@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "obs/trace.hpp"
+#include "symbolic/frontier.hpp"
 #include "util/cancel.hpp"
 
 namespace stsyn::core {
@@ -11,7 +12,7 @@ namespace stsyn::core {
 using bdd::Bdd;
 
 Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
-                     SynthesisStats* stats, symbolic::ImagePolicy policy) {
+                     SynthesisStats* stats) {
   double elapsed = 0.0;
   Ranking out;
   std::size_t frontierSteps = 0;
@@ -22,21 +23,20 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
     const Bdd inv = sp.invariant();
 
     // Step 1: p_im = delta_p union the weakest groups starting in ¬I,
-    // kept per process so the BFS products can stay per process too.
+    // one process at a time.
     // A group has a member starting in I iff its source agrees with some
     // I-state on everything process j reads; such groups are excluded
     // wholesale (constraint C1). Since A_j keeps the unreadables unchanged,
     // that exclusion is the state predicate ∃u_j.I, not a relational
     // product: part_j = delta_j ∪ (A_j ∧ ¬∃u_j.I).
-    std::vector<Bdd> pimParts;
-    pimParts.reserve(sp.processCount());
+    Bdd pim = sp.manager().falseBdd();
     for (std::size_t j = 0; j < sp.processCount(); ++j) {
       util::checkCancellation();
-      pimParts.push_back(sp.processRelation(j) |
-                         (sp.candidates(j) & !sp.hideUnreadables(j, inv)));
+      pim |= sp.processRelation(j) |
+             (sp.candidates(j) & !sp.hideUnreadables(j, inv));
     }
-    const symbolic::ImageEngine engine(sp, std::move(pimParts), policy);
-    out.pim = engine.relation();
+    out.pim = pim;
+    const symbolic::ImageEngine engine(sp, std::move(pim));
 
     // Step 2: backward BFS from I. Each round collects the states outside
     // `explored` with a p_im transition into `explored`; by the BFS
@@ -61,7 +61,6 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
     engineStats = engine.drainStats();
     timeIt.span().arg("ranks", out.maxRank());
     timeIt.span().arg("complete", out.complete());
-    timeIt.span().arg("image_policy", symbolic::toString(engine.policy()));
     timeIt.span().arg("frontier_steps", frontierSteps);
   }
   if (stats != nullptr) {

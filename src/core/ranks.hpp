@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "core/stats.hpp"
-#include "symbolic/frontier.hpp"
 #include "symbolic/relations.hpp"
 
 namespace stsyn::core {
@@ -45,10 +44,8 @@ struct Ranking {
 /// image-engine counters are accumulated into it. Each p_im part is built
 /// from a state predicate, with no relational product. Each BFS round takes
 /// the preimage of the whole explored set: on coloring(30) the explored
-/// sets' preimages total 46k nodes where the newest ranks' total 414k. The
-/// BFS runs over p_im kept as per-process parts, combined per `policy`.
-[[nodiscard]] Ranking computeRanks(
-    const symbolic::SymbolicProtocol& sp, SynthesisStats* stats = nullptr,
-    symbolic::ImagePolicy policy = symbolic::defaultImagePolicy());
+/// sets' preimages total 46k nodes where the newest ranks' total 414k.
+[[nodiscard]] Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
+                                   SynthesisStats* stats = nullptr);
 
 }  // namespace stsyn::core

@@ -12,7 +12,6 @@ namespace stsyn::core {
 void SynthesisStats::addEngine(const symbolic::ImageEngineStats& e) {
   imageOps += e.imageCalls;
   preimageOps += e.preimageCalls;
-  imagePartProducts += e.partProducts;
 }
 
 void SynthesisStats::copyManagerStats(const bdd::ManagerStats& ms) {
@@ -75,12 +74,9 @@ void SynthesisStats::writeJson(obs::JsonWriter& w) const {
   w.field("cache_stores", static_cast<std::uint64_t>(cacheStores));
   w.field("unique_probes", static_cast<std::uint64_t>(uniqueProbes));
   w.field("pass_completed", passCompleted);
-  w.field("image_policy", imagePolicy);
   w.field("var_order", varOrder);
   w.field("image_ops", static_cast<std::uint64_t>(imageOps));
   w.field("preimage_ops", static_cast<std::uint64_t>(preimageOps));
-  w.field("image_part_products",
-          static_cast<std::uint64_t>(imagePartProducts));
   w.field("frontier_steps", static_cast<std::uint64_t>(frontierSteps));
   w.endObject();
 }

@@ -30,7 +30,10 @@ namespace stsyn::core {
 /// checks — that guarantee is the semantic change that forced the bump).
 /// v3: the three keys of the removed parallel image pool are gone (see
 /// docs/observability.md).
-inline constexpr int kStatsJsonSchemaVersion = 3;
+/// v4: the two keys of the removed partitioned image path are gone, from
+/// the stats object and from the portfolio rows (see
+/// docs/observability.md).
+inline constexpr int kStatsJsonSchemaVersion = 4;
 
 struct SynthesisStats {
   double rankingSeconds = 0.0;
@@ -70,20 +73,12 @@ struct SynthesisStats {
   /// input needed no recovery.
   int passCompleted = 0;
 
-  /// Image-computation policy the run was configured with ("monolithic",
-  /// "perprocess" or "auto"; empty when the run predates the setting).
-  std::string imagePolicy;
-
   /// Variable-order seed of the encoding the run synthesized against
   /// ("declared" or "static"; empty when the run predates the setting).
   std::string varOrder;
 
   std::size_t imageOps = 0;     ///< ImageEngine image() fixpoint steps
   std::size_t preimageOps = 0;  ///< ImageEngine preimage() fixpoint steps
-  /// Per-part relational products across all engines of the run; equals
-  /// imageOps + preimageOps (plus source/target scans) when every engine
-  /// ran monolithic, larger under partitioning.
-  std::size_t imagePartProducts = 0;
   /// Backward-BFS rounds of the ranking fixpoint (one preimage of the
   /// explored set per round, the last one finding nothing new).
   std::size_t frontierSteps = 0;

@@ -4,13 +4,11 @@
 
 namespace stsyn::core {
 
-WeakResult addWeakConvergence(const symbolic::SymbolicProtocol& sp,
-                              symbolic::ImagePolicy policy) {
+WeakResult addWeakConvergence(const symbolic::SymbolicProtocol& sp) {
   WeakResult out;
   util::Stopwatch total;
-  out.stats.imagePolicy = symbolic::toString(policy);
   out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
-  out.ranking = computeRanks(sp, &out.stats, policy);
+  out.ranking = computeRanks(sp, &out.stats);
   out.relation = out.ranking.pim;
   out.rankInfinityStates = out.ranking.unreachable;
   out.success = out.ranking.complete();

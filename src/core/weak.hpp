@@ -25,7 +25,6 @@ struct WeakResult {
 };
 
 [[nodiscard]] WeakResult addWeakConvergence(
-    const symbolic::SymbolicProtocol& sp,
-    symbolic::ImagePolicy policy = symbolic::defaultImagePolicy());
+    const symbolic::SymbolicProtocol& sp);
 
 }  // namespace stsyn::core

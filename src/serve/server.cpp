@@ -106,7 +106,6 @@ bool applyRequestOptions(const obs::JsonValue& opts, cli::Options& o,
     return false;
   }
   unsigned portfolio = 0;
-  std::string imagePolicy;
   bool weak = false;
   bool verify = false;
   for (const auto& [key, value] : opts.members) {
@@ -128,12 +127,6 @@ bool applyRequestOptions(const obs::JsonValue& opts, cli::Options& o,
         return false;
       }
       portfolio = static_cast<unsigned>(n);
-    } else if (key == "image_policy") {
-      if (value.kind != obs::JsonValue::Kind::String) {
-        error = "image_policy must be a string";
-        return false;
-      }
-      imagePolicy = value.str;
     } else if (key == "var_order") {
       if (value.kind != obs::JsonValue::Kind::String) {
         error = "var_order must be a string";
@@ -175,24 +168,6 @@ bool applyRequestOptions(const obs::JsonValue& opts, cli::Options& o,
     }
   }
   o.portfolio = portfolio;
-  if (!imagePolicy.empty()) {
-    if (imagePolicy == "both") {
-      if (portfolio == 0) {
-        error = "image_policy \"both\" requires portfolio > 0";
-        return false;
-      }
-      o.policies = {symbolic::ImagePolicy::Monolithic,
-                    symbolic::ImagePolicy::PerProcess};
-    } else {
-      const auto parsed = symbolic::parseImagePolicy(imagePolicy);
-      if (!parsed.has_value()) {
-        error = "unknown image_policy '" + imagePolicy + "'";
-        return false;
-      }
-      o.strong.imagePolicy = *parsed;
-      o.policies = {*parsed};
-    }
-  }
   if (o.orbitPrune && portfolio == 0) {
     error = "orbit_prune requires portfolio > 0";
     return false;
@@ -243,11 +218,9 @@ std::string optionsFingerprint(const cli::Options& o) {
   std::ostringstream key;
   key << "mode=" << static_cast<int>(o.mode) << ";maxPass=" << o.strong.maxPass
       << ";greedy=" << o.strong.greedyCycleResolution
-      << ";imagePolicy=" << symbolic::toString(o.strong.imagePolicy)
       << ";varOrder=" << static_cast<int>(o.encoding.varOrder)
       << ";portfolio=" << o.portfolio << ";orbitPrune=" << o.orbitPrune
-      << ";schedule=" << o.scheduleArg << ";policies=";
-  for (const auto p : o.policies) key << symbolic::toString(p) << ',';
+      << ";schedule=" << o.scheduleArg;
   return key.str();
 }
 

@@ -1,8 +1,6 @@
 #include "symbolic/encoding.hpp"
 
-#include <atomic>
 #include <cassert>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <utility>
@@ -38,25 +36,6 @@ std::optional<VarOrder> parseVarOrder(std::string_view name) {
   if (name == "declared") return VarOrder::Declared;
   if (name == "static") return VarOrder::Static;
   return std::nullopt;
-}
-
-VarOrder defaultVarOrder() {
-  // Re-read every call (not latched): tests and embedders flip the
-  // environment between encoding constructions. Only the malformed-value
-  // warning is once-per-process.
-  const char* env = std::getenv("STSYN_VAR_ORDER");
-  if (env == nullptr || *env == '\0') return VarOrder::Declared;
-  if (const auto parsed = parseVarOrder(env); parsed.has_value()) {
-    return *parsed;
-  }
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "stsyn: ignoring unknown STSYN_VAR_ORDER '%s' "
-                 "(expected declared|static)\n",
-                 env);
-  }
-  return VarOrder::Declared;
 }
 
 Encoding::Encoding(protocol::Protocol proto, const EncodingOptions& options)

@@ -39,13 +39,8 @@ enum class VarOrder {
 /// Parses "declared" / "static"; nullopt on anything else.
 [[nodiscard]] std::optional<VarOrder> parseVarOrder(std::string_view name);
 
-/// The process-wide default order: $STSYN_VAR_ORDER when set to a
-/// parseable value (warns once on stderr otherwise), else Declared.
-/// Re-read on every call, like defaultImagePolicy().
-[[nodiscard]] VarOrder defaultVarOrder();
-
 struct EncodingOptions {
-  VarOrder varOrder = defaultVarOrder();
+  VarOrder varOrder = VarOrder::Declared;
 };
 
 class Encoding {

@@ -61,14 +61,10 @@ Lockstep lockstep(const ImageEngine& engine, const Bdd& v, const Bdd& pivot,
   return Lockstep{fwd & bwd, bwd};
 }
 
-/// Does `scc` contain an internal transition of some part? (Distinguishes
-/// a genuine cycle from a trivial single-state component.)
+/// Does `scc` contain an internal transition? (Distinguishes a genuine
+/// cycle from a trivial single-state component.)
 bool hasInternalEdge(const ImageEngine& engine, const Bdd& scc) {
-  const Bdd next = engine.sp().onNext(scc);
-  for (std::size_t i = 0; i < engine.partCount(); ++i) {
-    if (!(engine.part(i) & scc & next).isFalse()) return true;
-  }
-  return false;
+  return !(engine.relation() & scc & engine.sp().onNext(scc)).isFalse();
 }
 
 /// Trims `domain` to its cycle core: repeatedly drop states with no
@@ -96,7 +92,6 @@ SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain,
                          const Bdd* seeds) {
   const SymbolicProtocol& sp = engine.sp();
   obs::Span span("nontrivial_sccs", "scc");
-  span.arg("partitioned", engine.partitioned());
   span.arg("seeded", seeds != nullptr);
   SccResult result;
   std::size_t dropped = 0;
@@ -134,20 +129,13 @@ SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain,
   return result;
 }
 
-SccResult nontrivialSccs(const SymbolicProtocol& sp, const Bdd& rel,
-                         const Bdd& domain) {
-  return nontrivialSccs(ImageEngine(sp, rel), domain);
-}
-
 bool hasCycle(const ImageEngine& engine, const Bdd& domain) {
   obs::Span span("has_cycle", "scc");
   // Self-loops are cycles.
   const Bdd diag = domain & engine.sp().enc().diagonal();
-  for (std::size_t i = 0; i < engine.partCount(); ++i) {
-    if (!(engine.part(i) & diag).isFalse()) {
-      span.arg("cyclic", true);
-      return true;
-    }
+  if (!(engine.relation() & diag).isFalse()) {
+    span.arg("cyclic", true);
+    return true;
   }
   // Otherwise a cycle exists iff the trimmed core is non-empty.
   std::size_t steps = 0;
@@ -155,10 +143,6 @@ bool hasCycle(const ImageEngine& engine, const Bdd& domain) {
   span.arg("cyclic", cyclic);
   span.arg("symbolic_steps", steps);
   return cyclic;
-}
-
-bool hasCycle(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& domain) {
-  return hasCycle(ImageEngine(sp, rel), domain);
 }
 
 Bdd cycleCone(const ImageEngine& combined, const Bdd& delta,

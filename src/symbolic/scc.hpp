@@ -2,12 +2,9 @@
 //
 // The paper's Identify_Resolve_Cycles routine uses the symbolic SCC
 // algorithm of Gentilini et al. We implement the lockstep divide-and-conquer
-// scheme (Bloem/Gabow/Somenzi) on top of an ImageEngine — a disjunctively
-// partitioned transition relation whose monolithic union is never needed —
-// with a cycle-core trimming prepass. Partitioning keeps every image and
-// preimage operand small and local (the per-process relations of ring
-// protocols touch only neighbouring variables), which is what lets the
-// coloring benchmark scale to the paper's 40 processes.
+// scheme (Bloem/Gabow/Somenzi) on top of an ImageEngine — the protocol
+// relation with counted image/preimage products — with a cycle-core
+// trimming prepass.
 //
 // Lockstep is the only backend. The heuristic runs it on a cycle cone
 // (cycleCone below) with pivots seeded from the increment's sources: on
@@ -35,8 +32,8 @@ struct SccResult {
 };
 
 /// Computes the non-trivial SCCs of the engine's relation restricted to the
-/// state set `domain` (both endpoints inside `domain`). Per-part products
-/// are accounted into the engine's (shared) counters.
+/// state set `domain` (both endpoints inside `domain`). Products are
+/// accounted into the engine's (shared) counters.
 ///
 /// With `seeds`, every lockstep pivot is drawn from the seed states, and a
 /// work set holding no seed is dropped without a search. Precondition:
@@ -49,19 +46,10 @@ struct SccResult {
                                        const bdd::Bdd& domain,
                                        const bdd::Bdd* seeds = nullptr);
 
-/// Monolithic-relation convenience overload.
-[[nodiscard]] SccResult nontrivialSccs(const SymbolicProtocol& sp,
-                                       const bdd::Bdd& rel,
-                                       const bdd::Bdd& domain);
-
 /// True iff the engine's relation restricted to `domain` contains a cycle —
 /// equivalent to nontrivialSccs(...).components being non-empty but cheaper
 /// when the caller only needs a yes/no answer.
 [[nodiscard]] bool hasCycle(const ImageEngine& engine, const bdd::Bdd& domain);
-
-/// Monolithic-relation convenience overload.
-[[nodiscard]] bool hasCycle(const SymbolicProtocol& sp, const bdd::Bdd& rel,
-                            const bdd::Bdd& domain);
 
 /// The cycle cone of an increment, over an engine holding base ∪ delta.
 /// Precondition: (combined \ delta) restricted to `domain` is acyclic, so

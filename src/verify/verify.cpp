@@ -28,7 +28,8 @@ Report check(const SymbolicProtocol& sp, const Bdd& rel) {
   r.deadlocks = sp.deadlocks(rel);
   r.deadlockFree = r.deadlocks.isFalse();
 
-  r.cycles = symbolic::nontrivialSccs(sp, sp.restrictRel(rel, notI), notI)
+  r.cycles = symbolic::nontrivialSccs(
+                 symbolic::ImageEngine(sp, sp.restrictRel(rel, notI)), notI)
                  .components;
   r.cycleFree = r.cycles.empty();
 

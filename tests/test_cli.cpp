@@ -102,14 +102,18 @@ TEST(ParseArgs, EveryNumericFlagRejectsGarbage) {
 }
 
 TEST(ParseArgs, UnknownFlagIsNamedBeforeTheUsage) {
-  // --image-workers was removed; scripts still passing it must learn why
-  // they got exit 2.
+  // --image-workers and --image-policy were removed; scripts still passing
+  // them must learn why they got exit 2.
   cli::Options opt;
   std::string err;
-  EXPECT_EQ(parse({"p.stsyn", "--image-workers", "many"}, opt, &err), 2);
-  EXPECT_EQ(err.rfind("stsyn: unknown option '--image-workers'\nusage:", 0),
-            0u)
-      << err;
+  for (const std::string flag : {"--image-workers", "--image-policy"}) {
+    opt = {};
+    err.clear();
+    EXPECT_EQ(parse({"p.stsyn", flag.c_str(), "both"}, opt, &err), 2);
+    EXPECT_EQ(err.rfind("stsyn: unknown option '" + flag + "'\nusage:", 0),
+              0u)
+        << err;
+  }
 
   // A known flag missing its value is not called unknown.
   opt = {};
@@ -148,8 +152,6 @@ TEST(ParseArgs, ConflictingAndUnknownFlags) {
   EXPECT_EQ(parse({"p.stsyn", "--weak", "--verify"}, opt), 2);
   opt = {};
   EXPECT_EQ(parse({"p.stsyn", "--frobnicate"}, opt), 2);
-  opt = {};
-  EXPECT_EQ(parse({"p.stsyn", "--image-policy", "both"}, opt), 2);
   opt = {};
   EXPECT_EQ(parse({"p.stsyn", "--orbit-prune"}, opt), 2);
   opt = {};

@@ -3,8 +3,7 @@
 // tests/golden/. A change in the synthesized programs — an accidental
 // heuristic reordering, a group-expansion regression, an extraction or
 // printer change — shows up as a readable text diff instead of a silent
-// behavioural drift. Each snapshot is synthesized under BOTH image
-// policies first, asserting the output is policy-invariant.
+// behavioural drift.
 //
 // Regenerate intentionally with:  STSYN_UPDATE_GOLDEN=1 ./test_golden
 #include <gtest/gtest.h>
@@ -21,28 +20,24 @@
 #include "core/heuristic.hpp"
 #include "extraction/export.hpp"
 #include "lang/printer.hpp"
-#include "symbolic/frontier.hpp"
 
 namespace {
 
 using namespace stsyn;
 
-/// Synthesizes strong convergence under `policy` and renders the complete
-/// stabilized protocol (original actions + extracted recovery) as .stsyn
-/// text. `name` must be expressible in the language grammar (no dashes).
+/// Synthesizes strong convergence and renders the complete stabilized
+/// protocol (original actions + extracted recovery) as .stsyn text.
+/// `name` must be expressible in the language grammar (no dashes).
 std::string synthesizedText(const protocol::Protocol& p,
                             const core::Schedule& schedule,
-                            symbolic::ImagePolicy policy,
                             const std::string& name) {
   symbolic::Encoding enc(p);
   symbolic::SymbolicProtocol sp(enc);
   core::StrongOptions opt;
   opt.schedule = schedule;
-  opt.imagePolicy = policy;
   const core::StrongResult r = core::addStrongConvergence(sp, opt);
   if (!r.success) {
-    ADD_FAILURE() << "synthesis failed for " << name << " under "
-                  << symbolic::toString(policy);
+    ADD_FAILURE() << "synthesis failed for " << name;
     return {};
   }
   protocol::Protocol out = extraction::toProtocol(sp, r.addedPerProcess);
@@ -71,30 +66,23 @@ void checkGolden(const std::string& file, const std::string& actual) {
          "STSYN_UPDATE_GOLDEN=1 and review the diff";
 }
 
-/// Both policies must print the identical protocol before it is compared
-/// against the snapshot.
-void checkPolicyInvariantGolden(const protocol::Protocol& p,
-                                const core::Schedule& schedule,
-                                const std::string& name) {
-  const std::string mono =
-      synthesizedText(p, schedule, symbolic::ImagePolicy::Monolithic, name);
-  const std::string part =
-      synthesizedText(p, schedule, symbolic::ImagePolicy::PerProcess, name);
-  EXPECT_EQ(mono, part) << name << ": policies synthesized different text";
-  checkGolden(name + ".stsyn", mono);
+void checkSynthesizedGolden(const protocol::Protocol& p,
+                            const core::Schedule& schedule,
+                            const std::string& name) {
+  checkGolden(name + ".stsyn", synthesizedText(p, schedule, name));
 }
 
 TEST(Golden, TokenRingRecoveryActionsArePinned) {
-  checkPolicyInvariantGolden(casestudies::tokenRing(4, 3),
-                             core::rotatedSchedule(4, 1), "token_ring4_ss");
+  checkSynthesizedGolden(casestudies::tokenRing(4, 3),
+                         core::rotatedSchedule(4, 1), "token_ring4_ss");
 }
 
 TEST(Golden, ColoringRecoveryActionsArePinned) {
-  checkPolicyInvariantGolden(casestudies::coloring(5), {}, "coloring5_ss");
+  checkSynthesizedGolden(casestudies::coloring(5), {}, "coloring5_ss");
 }
 
 TEST(Golden, MatchingRecoveryActionsArePinned) {
-  checkPolicyInvariantGolden(casestudies::matching(5), {}, "matching5_ss");
+  checkSynthesizedGolden(casestudies::matching(5), {}, "matching5_ss");
 }
 
 }  // namespace

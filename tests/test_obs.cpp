@@ -335,10 +335,8 @@ core::SynthesisStats sampleStats() {
   s.cacheLookups = 100;
   s.cacheHits = 80;
   s.passCompleted = 2;
-  s.imagePolicy = "perprocess";
   s.imageOps = 11;
   s.preimageOps = 13;
-  s.imagePartProducts = 44;
   s.frontierSteps = 6;
   return s;
 }
@@ -369,17 +367,16 @@ TEST(StatsJson, WriteJsonRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(doc->find("cache_hits")->number, 80.0);
   EXPECT_DOUBLE_EQ(doc->find("cache_hit_rate")->number, 0.8);
   EXPECT_DOUBLE_EQ(doc->find("pass_completed")->number, 2.0);
-  EXPECT_EQ(doc->find("image_policy")->str, "perprocess");
   EXPECT_DOUBLE_EQ(doc->find("image_ops")->number, 11.0);
   EXPECT_DOUBLE_EQ(doc->find("preimage_ops")->number, 13.0);
-  EXPECT_DOUBLE_EQ(doc->find("image_part_products")->number, 44.0);
   EXPECT_DOUBLE_EQ(doc->find("frontier_steps")->number, 6.0);
-  // v3: the parallel image pool's keys are gone.
-  for (const char* removed : {"image_workers", "transfer_nodes",
-                              "reduce_depth"}) {
+  // v3 dropped the parallel image pool's keys, v4 the image policy's.
+  for (const char* removed :
+       {"image_workers", "transfer_nodes", "reduce_depth", "image_policy",
+        "image_part_products"}) {
     EXPECT_EQ(doc->find(removed), nullptr) << removed;
   }
-  EXPECT_EQ(core::kStatsJsonSchemaVersion, 3);
+  EXPECT_EQ(core::kStatsJsonSchemaVersion, 4);
 }
 
 // The human-readable summary is consumed by eyeballs and by the existing

@@ -242,116 +242,61 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AnalysisParity,
                          ::testing::Range<std::uint64_t>(0, 12));
 
 // ---------------------------------------------------------------------------
-// Image-policy differential testing: the partitioned engine must agree with
-// the monolithic one BDD for BDD — not just up to verification, but on the
-// exact node of every product and every synthesized relation.
+// Image-engine reference: every engine product must equal the plain
+// SymbolicProtocol product on the same relation, BDD for BDD — including
+// restricted copies (the SCC trim loop's shape) and grown engines (the
+// synthesis hot loop's shape).
 // ---------------------------------------------------------------------------
 
-class ImagePolicyDifferential
+class ImageEngineReference
     : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ImagePolicyDifferential, ProductsAgreeBddForBdd) {
+TEST_P(ImageEngineReference, ProductsAgreeBddForBdd) {
   util::Rng rng(GetParam() * 2654435761 + 17);
   for (int instance = 0; instance < 3; ++instance) {
     const protocol::Protocol p = randomProtocol(rng);
     symbolic::Encoding enc(p);
     symbolic::SymbolicProtocol sp(enc);
     // Random protocols carry no actions of their own (recovery is what
-    // gets synthesized), so run the engines over the candidate relations —
-    // rich, frame-fenced per-process parts.
-    std::vector<bdd::Bdd> parts;
-    for (std::size_t j = 0; j < sp.processCount(); ++j) {
-      parts.push_back(sp.candidates(j));
-    }
-    const symbolic::ImageEngine mono(sp, parts,
-                                     symbolic::ImagePolicy::Monolithic);
-    const symbolic::ImageEngine part(sp, parts,
-                                     symbolic::ImagePolicy::PerProcess);
-    ASSERT_FALSE(mono.partitioned());
-    ASSERT_TRUE(part.partitioned());
-    EXPECT_EQ(mono.relation(), part.relation());
-    EXPECT_EQ(mono.sources(), part.sources());
-    EXPECT_EQ(mono.targets(), part.targets());
+    // gets synthesized), so run the engine over the candidate relations.
+    // The last process's candidates arrive through grow().
+    const std::size_t last = sp.processCount() - 1;
+    bdd::Bdd base = enc.manager().falseBdd();
+    for (std::size_t j = 0; j < last; ++j) base |= sp.candidates(j);
+    const bdd::Bdd delta = sp.candidates(last);
+    const bdd::Bdd rel = base | delta;
+    symbolic::ImageEngine engine(sp, base);
+    engine.grow(delta);
+    const std::string where = "seed " + std::to_string(GetParam()) +
+                              " instance " + std::to_string(instance);
+    ASSERT_EQ(engine.relation(), rel) << where;
+    EXPECT_EQ(engine.sources(), sp.sources(rel)) << where;
+    EXPECT_EQ(engine.targets(), enc.nextToCur(rel.exists(enc.curCube())))
+        << where;
 
     const bdd::Bdd inv = sp.invariant();
     const bdd::Bdd valid = sp.enc().validCur();
-    const std::vector<bdd::Bdd> sets{
-        enc.manager().falseBdd(), valid, inv, valid & !inv,
-        mono.image(inv),          mono.preimage(valid & !inv)};
+    const bdd::Bdd notI = valid & !inv;
+    const symbolic::ImageEngine restricted = engine.restricted(notI);
+    const bdd::Bdd restrictedRel = sp.restrictRel(rel, notI);
+    EXPECT_EQ(restricted.relation(), restrictedRel) << where;
+    const std::vector<bdd::Bdd> sets{enc.manager().falseBdd(), valid, inv,
+                                     notI, sp.image(rel, inv),
+                                     sp.preimage(rel, notI)};
     for (const bdd::Bdd& s : sets) {
-      EXPECT_EQ(mono.image(s), part.image(s))
-          << "seed " << GetParam() << " instance " << instance;
-      EXPECT_EQ(mono.preimage(s), part.preimage(s))
-          << "seed " << GetParam() << " instance " << instance;
-      EXPECT_EQ(mono.image(s, valid & !inv), part.image(s, valid & !inv));
-      EXPECT_EQ(mono.preimage(s, valid & !inv),
-                part.preimage(s, valid & !inv));
-      // Restricted engines (the SCC trim loop's shape) agree too.
-      EXPECT_EQ(mono.restricted(valid & !inv).image(s),
-                part.restricted(valid & !inv).image(s));
+      EXPECT_EQ(engine.image(s), sp.image(rel, s)) << where;
+      EXPECT_EQ(engine.preimage(s), sp.preimage(rel, s)) << where;
+      EXPECT_EQ(engine.image(s, notI), sp.image(rel, s) & notI) << where;
+      EXPECT_EQ(engine.preimage(s, notI), sp.preimage(rel, s) & notI)
+          << where;
+      EXPECT_EQ(restricted.image(s), sp.image(restrictedRel, s)) << where;
+      EXPECT_EQ(restricted.preimage(s), sp.preimage(restrictedRel, s))
+          << where;
     }
   }
 }
 
-TEST_P(ImagePolicyDifferential, RanksAgreeBddForBdd) {
-  util::Rng rng(GetParam() * 6700417 + 29);
-  for (int instance = 0; instance < 2; ++instance) {
-    const protocol::Protocol p = randomProtocol(rng);
-    symbolic::Encoding enc(p);
-    symbolic::SymbolicProtocol sp(enc);
-    const core::Ranking monoR =
-        core::computeRanks(sp, nullptr, symbolic::ImagePolicy::Monolithic);
-    const core::Ranking partR =
-        core::computeRanks(sp, nullptr, symbolic::ImagePolicy::PerProcess);
-    EXPECT_EQ(monoR.pim, partR.pim);
-    EXPECT_EQ(monoR.unreachable, partR.unreachable);
-    ASSERT_EQ(monoR.ranks.size(), partR.ranks.size());
-    for (std::size_t i = 0; i < monoR.ranks.size(); ++i) {
-      EXPECT_EQ(monoR.ranks[i], partR.ranks[i]) << "rank " << i;
-    }
-  }
-}
-
-TEST_P(ImagePolicyDifferential, StrongSynthesisIdenticalUnderBothPolicies) {
-  util::Rng rng(GetParam() * 7919 + 13);  // same stream as the engine test
-  for (int instance = 0; instance < 3; ++instance) {
-    const protocol::Protocol p = randomProtocol(rng);
-    const explicitstate::StateSpace space(p);
-    if (space.invariantSize() == 0 || space.invariantSize() == space.size()) {
-      continue;
-    }
-    symbolic::Encoding enc(p);
-    symbolic::SymbolicProtocol sp(enc);
-    core::StrongOptions opt;
-    opt.imagePolicy = symbolic::ImagePolicy::Monolithic;
-    const core::StrongResult mono = core::addStrongConvergence(sp, opt);
-    opt.imagePolicy = symbolic::ImagePolicy::PerProcess;
-    const core::StrongResult part = core::addStrongConvergence(sp, opt);
-
-    ASSERT_EQ(mono.success, part.success)
-        << "seed " << GetParam() << " instance " << instance;
-    EXPECT_EQ(static_cast<int>(mono.failure), static_cast<int>(part.failure));
-    EXPECT_EQ(mono.stats.passCompleted, part.stats.passCompleted);
-    // Same manager, so Bdd equality is node identity.
-    EXPECT_EQ(mono.relation, part.relation);
-    EXPECT_EQ(mono.remainingDeadlocks, part.remainingDeadlocks);
-    ASSERT_EQ(mono.addedPerProcess.size(), part.addedPerProcess.size());
-    for (std::size_t j = 0; j < mono.addedPerProcess.size(); ++j) {
-      EXPECT_EQ(mono.addedPerProcess[j], part.addedPerProcess[j])
-          << "process " << j;
-    }
-    // The engines do different numbers of per-part products but must
-    // answer the same number of image/preimage queries.
-    EXPECT_EQ(mono.stats.imageOps, part.stats.imageOps);
-    EXPECT_EQ(mono.stats.preimageOps, part.stats.preimageOps);
-    if (mono.success) {
-      EXPECT_TRUE(verify::check(sp, mono.relation).stronglyStabilizing());
-      EXPECT_TRUE(verify::check(sp, part.relation).stronglyStabilizing());
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ImagePolicyDifferential,
+INSTANTIATE_TEST_SUITE_P(Seeds, ImageEngineReference,
                          ::testing::Range<std::uint64_t>(0, 24));
 
 // ---------------------------------------------------------------------------
@@ -496,7 +441,7 @@ TEST_P(OrbitPruneDifferential, PrunedPortfolioMatchesUnprunedSemantics) {
     if (reps[full.winner] == full.winner) {
       EXPECT_EQ(pruned.winner, full.winner)
           << "seed " << GetParam() << " instance " << instance;
-      // Same schedule + policy => identical synthesis: the winners'
+      // Same schedule => identical synthesis: the winners'
       // decoded programs are identical BDD-for-BDD up to decoding.
       const auto& pw = pruned.instances[pruned.winner];
       const auto& fw = full.instances[full.winner];
@@ -631,18 +576,13 @@ core::Ranking frontierRanks(const symbolic::SymbolicProtocol& sp) {
 void expectSameRanking(const symbolic::SymbolicProtocol& sp,
                        const std::string& what) {
   const core::Ranking want = frontierRanks(sp);
-  for (const symbolic::ImagePolicy policy :
-       {symbolic::ImagePolicy::Monolithic, symbolic::ImagePolicy::PerProcess,
-        symbolic::ImagePolicy::Auto}) {
-    const core::Ranking got = core::computeRanks(sp, nullptr, policy);
-    const std::string where = what + " policy " + symbolic::toString(policy);
-    EXPECT_TRUE(got.pim == want.pim) << where;
-    ASSERT_EQ(got.ranks.size(), want.ranks.size()) << where;
-    for (std::size_t i = 0; i < want.ranks.size(); ++i) {
-      EXPECT_TRUE(got.ranks[i] == want.ranks[i]) << where << " rank " << i;
-    }
-    EXPECT_TRUE(got.unreachable == want.unreachable) << where;
+  const core::Ranking got = core::computeRanks(sp);
+  EXPECT_TRUE(got.pim == want.pim) << what;
+  ASSERT_EQ(got.ranks.size(), want.ranks.size()) << what;
+  for (std::size_t i = 0; i < want.ranks.size(); ++i) {
+    EXPECT_TRUE(got.ranks[i] == want.ranks[i]) << what << " rank " << i;
   }
+  EXPECT_TRUE(got.unreachable == want.unreachable) << what;
 }
 
 class RankingOperands : public ::testing::TestWithParam<std::uint64_t> {};

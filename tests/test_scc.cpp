@@ -19,6 +19,7 @@ namespace {
 using namespace stsyn;
 using bdd::Bdd;
 using symbolic::Encoding;
+using symbolic::ImageEngine;
 using symbolic::SymbolicProtocol;
 
 /// Canonical form of an SCC partition: sorted list of sorted state lists.
@@ -64,11 +65,12 @@ TEST(SymbolicScc, HandBuiltComponents) {
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> edges{
       {0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 5}, {5, 6}, {6, 5}, {7, 7}};
   const Bdd rel = relationOf(enc, sp, edges);
-  const auto result = symbolic::nontrivialSccs(sp, rel, enc.validCur());
+  const auto result =
+      symbolic::nontrivialSccs(ImageEngine(sp, rel), enc.validCur());
   EXPECT_EQ(canonical(enc, result.components),
             (std::vector<std::vector<std::uint64_t>>{
                 {1, 2, 3}, {5, 6}, {7}}));
-  EXPECT_TRUE(symbolic::hasCycle(sp, rel, enc.validCur()));
+  EXPECT_TRUE(symbolic::hasCycle(ImageEngine(sp, rel), enc.validCur()));
 }
 
 TEST(SymbolicScc, AcyclicGraphHasNoComponents) {
@@ -78,9 +80,9 @@ TEST(SymbolicScc, AcyclicGraphHasNoComponents) {
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> edges{
       {0, 1}, {1, 2}, {2, 3}, {0, 3}, {3, 4}, {4, 7}};
   const Bdd rel = relationOf(enc, sp, edges);
-  EXPECT_TRUE(symbolic::nontrivialSccs(sp, rel, enc.validCur())
+  EXPECT_TRUE(symbolic::nontrivialSccs(ImageEngine(sp, rel), enc.validCur())
                   .components.empty());
-  EXPECT_FALSE(symbolic::hasCycle(sp, rel, enc.validCur()));
+  EXPECT_FALSE(symbolic::hasCycle(ImageEngine(sp, rel), enc.validCur()));
 }
 
 TEST(SymbolicScc, DomainRestrictionBreaksCycles) {
@@ -92,7 +94,7 @@ TEST(SymbolicScc, DomainRestrictionBreaksCycles) {
   const Bdd rel = relationOf(enc, sp, edges);
   const Bdd domain =
       enc.validCur() & !enc.stateBdd(std::vector<int>{1});  // drop state 1
-  const auto result = symbolic::nontrivialSccs(sp, rel, domain);
+  const auto result = symbolic::nontrivialSccs(ImageEngine(sp, rel), domain);
   EXPECT_EQ(canonical(enc, result.components),
             (std::vector<std::vector<std::uint64_t>>{{2, 3}}));
 }
@@ -115,7 +117,9 @@ TEST_P(SymbolicSccRandom, AgreesWithTarjanOnRandomGraphs) {
 
   const Bdd rel = relationOf(enc, sp, edges);
   const auto symbolicSccs =
-      canonical(enc, symbolic::nontrivialSccs(sp, rel, enc.validCur()).components);
+      canonical(enc, symbolic::nontrivialSccs(ImageEngine(sp, rel),
+                                              enc.validCur())
+                         .components);
 
   std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
       explicitEdges(edges.begin(), edges.end());
@@ -125,7 +129,7 @@ TEST_P(SymbolicSccRandom, AgreesWithTarjanOnRandomGraphs) {
       canonicalExplicit(explicitstate::nontrivialSccs(ts, all));
 
   EXPECT_EQ(symbolicSccs, tarjanSccs) << "seed " << GetParam();
-  EXPECT_EQ(symbolic::hasCycle(sp, rel, enc.validCur()),
+  EXPECT_EQ(symbolic::hasCycle(ImageEngine(sp, rel), enc.validCur()),
             !tarjanSccs.empty());
 }
 
@@ -147,8 +151,8 @@ TEST(SymbolicScc, MatchingRecoveryCyclesMatchTarjan) {
   const Bdd notI = enc.validCur() & !sp.invariant();
   rel = sp.restrictRel(rel, notI);
 
-  const auto symbolicSccs =
-      canonical(enc, symbolic::nontrivialSccs(sp, rel, notI).components);
+  const auto symbolicSccs = canonical(
+      enc, symbolic::nontrivialSccs(ImageEngine(sp, rel), notI).components);
 
   const explicitstate::StateSpace space(p);
   std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>> edges;
@@ -183,8 +187,8 @@ TEST(SymbolicScc, TokenRingPaperCycleIsFound) {
   }
   const Bdd rel = sp.protocolRelation() | (recovery & enc.validCur());
   const Bdd notI = enc.validCur() & !sp.invariant();
-  const auto result =
-      symbolic::nontrivialSccs(sp, sp.restrictRel(rel, notI), notI);
+  const auto result = symbolic::nontrivialSccs(
+      ImageEngine(sp, sp.restrictRel(rel, notI)), notI);
   ASSERT_FALSE(result.components.empty());
   const Bdd paperState = enc.stateBdd(std::vector<int>{1, 2, 1, 0});
   bool found = false;
@@ -194,35 +198,10 @@ TEST(SymbolicScc, TokenRingPaperCycleIsFound) {
   EXPECT_TRUE(found) << "paper's cycle state <1,2,1,0> not in any SCC";
 }
 
-TEST(PartitionedScc, AgreesWithMonolithic) {
-  const protocol::Protocol p = casestudies::matching(4);
-  const Encoding enc(p);
-  const SymbolicProtocol sp(enc);
-  Bdd rel = enc.manager().falseBdd();
-  std::vector<Bdd> parts;
-  for (std::size_t j = 0; j < sp.processCount(); ++j) {
-    const Bdd all = sp.candidates(j);
-    const Bdd part = all & !sp.groupExpand(j, all & sp.invariant());
-    parts.push_back(part);
-    rel |= part;
-  }
-  const Bdd notI = enc.validCur() & !sp.invariant();
-  const symbolic::ImageEngine partitioned =
-      symbolic::ImageEngine::generic(sp, parts);
-  const auto mono = canonical(
-      enc, symbolic::nontrivialSccs(sp, sp.restrictRel(rel, notI), notI)
-               .components);
-  const auto part = canonical(
-      enc, symbolic::nontrivialSccs(partitioned, notI).components);
-  EXPECT_EQ(mono, part);
-  EXPECT_EQ(symbolic::hasCycle(sp, rel, notI),
-            symbolic::hasCycle(partitioned, notI));
-}
-
 /// cycleCone over base ∪ delta (a monolithic engine, as in diagnose).
 Bdd coneOf(const SymbolicProtocol& sp, const Bdd& base, const Bdd& delta,
            const Bdd& domain) {
-  return symbolic::cycleCone(symbolic::ImageEngine(sp, base | delta), delta,
+  return symbolic::cycleCone(ImageEngine(sp, base | delta), delta,
                              domain);
 }
 
@@ -254,7 +233,8 @@ TEST(IncrementalAcyclicity, InconclusiveWhenDeltaClosesACycle) {
   const Bdd cone = coneOf(sp, base, delta, enc.validCur());
   EXPECT_FALSE(cone.isFalse());
   // And the full check agrees there IS a cycle.
-  EXPECT_TRUE(symbolic::hasCycle(sp, base | delta, enc.validCur()));
+  EXPECT_TRUE(
+      symbolic::hasCycle(ImageEngine(sp, base | delta), enc.validCur()));
   // The cone is exactly the closed cycle.
   EXPECT_EQ(symbolic::decodeStates(enc, cone),
             (std::vector<std::uint64_t>{1, 2, 3}));
@@ -278,13 +258,14 @@ TEST(IncrementalAcyclicity, ConservativeOnNearMisses) {
   const Bdd delta = relationOf(enc, sp, deltaEdges);
   const Bdd cone = coneOf(sp, base, delta, enc.validCur());
   EXPECT_FALSE(cone.isFalse());
-  EXPECT_FALSE(symbolic::hasCycle(sp, base | delta, enc.validCur()));
+  EXPECT_FALSE(
+      symbolic::hasCycle(ImageEngine(sp, base | delta), enc.validCur()));
   // The cone is the path 1 -> 2 -> 3, whose cycle core is empty.
   EXPECT_EQ(symbolic::decodeStates(enc, cone),
             (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_FALSE(symbolic::hasCycle(sp, base | delta, cone));
-  EXPECT_TRUE(
-      symbolic::nontrivialSccs(sp, base | delta, cone).components.empty());
+  EXPECT_FALSE(symbolic::hasCycle(ImageEngine(sp, base | delta), cone));
+  EXPECT_TRUE(symbolic::nontrivialSccs(ImageEngine(sp, base | delta), cone)
+                  .components.empty());
 }
 
 TEST(IncrementalAcyclicity, SelfLoopDeltaAndOutOfDomainDelta) {
@@ -330,9 +311,9 @@ TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
   }
   const Bdd base = relationOf(enc, sp, baseEdges);
   const Bdd delta = relationOf(enc, sp, deltaEdges);
-  ASSERT_FALSE(symbolic::hasCycle(sp, base, enc.validCur()));
+  ASSERT_FALSE(symbolic::hasCycle(ImageEngine(sp, base), enc.validCur()));
 
-  const symbolic::ImageEngine combined(sp, base | delta);
+  const ImageEngine combined(sp, base | delta);
   std::size_t steps = 0;
   const Bdd cone =
       symbolic::cycleCone(combined, delta, enc.validCur(), &steps);

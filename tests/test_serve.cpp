@@ -159,8 +159,9 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   EXPECT_EQ(badOption.find("kind")->str, "invalid_request");
 
   // Unknown keys are named in the error, including the removed
-  // image_workers, so old clients learn why they were refused.
-  for (const std::string key : {"threads", "image_workers"}) {
+  // image_workers and image_policy, so old clients learn why they were
+  // refused.
+  for (const std::string key : {"threads", "image_workers", "image_policy"}) {
     auto unknownOption = parsed(roundTrip(
         rs.port(), R"({"verb":"synthesize","protocol":"x","options":{")" +
                        key + R"(":2}})"));
@@ -177,7 +178,7 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   // exactly one of synthesize / lint / inline / invalid, so the
   // reconciliation invariant `requests == synthesize + lint + inline +
   // invalid` holds with no leakage category.
-  EXPECT_EQ(rs.server.counters().invalid.load(), 7u);
+  EXPECT_EQ(rs.server.counters().invalid.load(), 8u);
 }
 
 TEST(Serve, CacheHitReplaysByteIdenticalResult) {
