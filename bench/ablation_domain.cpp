@@ -30,7 +30,7 @@ void BM_TokenRingDomainSweep(benchmark::State& state) {
     state.counters["scc_components"] =
         static_cast<double>(r.stats.sccComponentsFound);
     bench::recordPoint({"token-ring-domain", static_cast<double>(d), ok,
-                        r.stats, ok ? "" : core::toString(r.failure)});
+                        ok ? "" : core::toString(r.failure), r.stats});
   }
 }
 

@@ -13,6 +13,8 @@
 #include <cstdio>
 #include <iostream>
 #include <functional>
+#include <string>
+#include <vector>
 
 #include "casestudies/coloring.hpp"
 #include "casestudies/matching.hpp"
@@ -53,29 +55,28 @@ const Config kConfigs[] = {
     {"pass1-4", 3, true},
 };
 
-bool runOne(const Subject& subject, const Config& config,
-            core::SynthesisStats* statsOut = nullptr) {
-  const protocol::Protocol p = subject.make();
-  symbolic::Encoding enc(p);
-  symbolic::SymbolicProtocol sp(enc);
-  core::StrongOptions opt;
-  opt.schedule = subject.schedule;
-  opt.maxPass = config.maxPass;
-  opt.greedyCycleResolution = config.greedy;
-  const core::StrongResult r = core::addStrongConvergence(sp, opt);
-  if (statsOut != nullptr) *statsOut = r.stats;
-  return r.success &&
-         verify::check(sp, r.relation).stronglyStabilizing();
-}
+/// Success of each subject × config point ("" until its timed loop ran).
+std::string outcomes[std::size(kSubjects)][std::size(kConfigs)];
 
 void BM_PassAblation(benchmark::State& state) {
-  const Subject& subject = kSubjects[state.range(0)];
-  const Config& config = kConfigs[state.range(1)];
+  const std::size_t si = static_cast<std::size_t>(state.range(0));
+  const std::size_t ci = static_cast<std::size_t>(state.range(1));
+  const Subject& subject = kSubjects[si];
+  const Config& config = kConfigs[ci];
+  const protocol::Protocol p = subject.make();
   for (auto _ : state) {
-    core::SynthesisStats stats;
-    const bool ok = runOne(subject, config, &stats);
+    symbolic::Encoding enc(p);
+    symbolic::SymbolicProtocol sp(enc);
+    core::StrongOptions opt;
+    opt.schedule = subject.schedule;
+    opt.maxPass = config.maxPass;
+    opt.greedyCycleResolution = config.greedy;
+    const core::StrongResult r = core::addStrongConvergence(sp, opt);
+    const bool ok =
+        r.success && verify::check(sp, r.relation).stronglyStabilizing();
+    outcomes[si][ci] = ok ? "yes" : "no";
     state.counters["success"] = ok ? 1 : 0;
-    state.counters["total_s"] = stats.totalSeconds;
+    state.counters["total_s"] = r.stats.totalSeconds;
   }
 }
 
@@ -96,10 +97,10 @@ int main(int argc, char** argv) {
               "configuration) ===\n");
   stsyn::util::Table table(
       {"subject", "pass1", "pass1-2", "pass1-3", "pass1-4(greedy)"});
-  for (const Subject& subject : kSubjects) {
-    std::vector<std::string> row{subject.name};
-    for (const Config& config : kConfigs) {
-      row.push_back(runOne(subject, config) ? "yes" : "no");
+  for (std::size_t si = 0; si < std::size(kSubjects); ++si) {
+    std::vector<std::string> row{kSubjects[si].name};
+    for (const std::string& outcome : outcomes[si]) {
+      row.push_back(outcome.empty() ? "-" : outcome);
     }
     table.addRow(std::move(row));
   }

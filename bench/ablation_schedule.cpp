@@ -59,16 +59,20 @@ std::vector<Outcome> sweepTokenRing() {
   return out;
 }
 
+/// The sweep's outcomes, recorded by its timed loop.
+std::vector<Outcome> tokenRingOutcomes;
+
 void BM_TokenRingScheduleSweep(benchmark::State& state) {
   for (auto _ : state) {
-    const auto outcomes = sweepTokenRing();
+    tokenRingOutcomes = sweepTokenRing();
     std::size_t successes = 0;
     std::size_t distinct = 0;
-    for (const Outcome& o : outcomes) {
+    for (const Outcome& o : tokenRingOutcomes) {
       successes += o.success ? 1 : 0;
       distinct = std::max(distinct, o.solutionId);
     }
-    state.counters["schedules"] = static_cast<double>(outcomes.size());
+    state.counters["schedules"] =
+        static_cast<double>(tokenRingOutcomes.size());
     state.counters["successes"] = static_cast<double>(successes);
     state.counters["distinct_solutions"] = static_cast<double>(distinct);
   }
@@ -110,7 +114,7 @@ int main(int argc, char** argv) {
               "ring ===\n");
   stsyn::util::Table table(
       {"schedule", "success", "pass", "total_s", "solution"});
-  for (const Outcome& o : sweepTokenRing()) {
+  for (const Outcome& o : tokenRingOutcomes) {
     table.addRow({core::toString(o.schedule), o.success ? "yes" : "NO",
                   stsyn::util::Table::cell(static_cast<std::size_t>(o.pass)),
                   stsyn::util::Table::cell(o.seconds),

@@ -6,6 +6,10 @@
 
 #include <cstdio>
 #include <iostream>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "casestudies/coloring.hpp"
 #include "casestudies/matching.hpp"
@@ -19,6 +23,10 @@ namespace {
 
 using namespace stsyn;
 
+/// The printed table's rows keyed by (K, mode), recorded by the timed
+/// loops.
+std::map<std::pair<int, int>, std::vector<std::string>> rows;
+
 void BM_PlainSynthesis(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const protocol::Protocol p = casestudies::matching(k);
@@ -26,13 +34,20 @@ void BM_PlainSynthesis(benchmark::State& state) {
     symbolic::Encoding enc(p);
     symbolic::SymbolicProtocol sp(enc);
     const core::StrongResult r = core::addStrongConvergence(sp);
-    state.counters["success"] = r.success ? 1 : 0;
+    std::size_t classes = 0;
     if (r.success) {
-      const auto sym =
-          extraction::analyzeRotationalSymmetry(sp, r.addedPerProcess);
-      state.counters["symmetry_classes"] =
-          static_cast<double>(sym.classCount);
+      classes = extraction::analyzeRotationalSymmetry(sp, r.addedPerProcess)
+                    .classCount;
     }
+    state.counters["success"] = r.success ? 1 : 0;
+    state.counters["symmetry_classes"] = static_cast<double>(classes);
+    rows[{k, 0}] = {std::to_string(k), "plain heuristic",
+                    r.success ? "yes" : "no",
+                    std::to_string(r.stats.passCompleted),
+                    classes == 1 ? "yes"
+                                 : "no (" + std::to_string(classes) +
+                                       " classes)",
+                    "-"};
   }
 }
 
@@ -45,6 +60,9 @@ void BM_SymmetricSynthesis(benchmark::State& state) {
     state.counters["success"] = r.success ? 1 : 0;
     state.counters["pass"] = r.passCompleted;
     state.counters["added_edges"] = static_cast<double>(r.added.size());
+    rows[{k, 1}] = {std::to_string(k), "template (symmetric)",
+                    r.success ? "yes" : "no", std::to_string(r.passCompleted),
+                    "yes", std::to_string(r.added.size())};
   }
 }
 
@@ -55,7 +73,7 @@ int main(int argc, char** argv) {
        {benchmark::RegisterBenchmark("matching/plain", BM_PlainSynthesis),
         benchmark::RegisterBenchmark("matching/symmetric",
                                      BM_SymmetricSynthesis)}) {
-    bm->Arg(4)->Arg(5)->Arg(6)->Iterations(1)->Unit(benchmark::kMillisecond);
+    bm->DenseRange(4, 6)->Iterations(1)->Unit(benchmark::kMillisecond);
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
@@ -65,34 +83,7 @@ int main(int argc, char** argv) {
               "===\n");
   stsyn::util::Table table({"K", "mode", "success", "pass",
                             "symmetric", "recovery_edges"});
-  for (int k = 4; k <= 6; ++k) {
-    const protocol::Protocol p = casestudies::matching(k);
-    {
-      symbolic::Encoding enc(p);
-      symbolic::SymbolicProtocol sp(enc);
-      const core::StrongResult r = core::addStrongConvergence(sp);
-      std::size_t classes = 0;
-      if (r.success) {
-        classes = extraction::analyzeRotationalSymmetry(sp,
-                                                        r.addedPerProcess)
-                      .classCount;
-      }
-      table.addRow({std::to_string(k), "plain heuristic",
-                    r.success ? "yes" : "no",
-                    std::to_string(r.stats.passCompleted),
-                    classes == 1 ? "yes" : "no (" + std::to_string(classes) +
-                                               " classes)",
-                    "-"});
-    }
-    {
-      const explicitstate::StateSpace space(p);
-      const auto r = explicitstate::addSymmetricConvergence(space);
-      table.addRow({std::to_string(k), "template (symmetric)",
-                    r.success ? "yes" : "no",
-                    std::to_string(r.passCompleted), "yes",
-                    std::to_string(r.added.size())});
-    }
-  }
+  for (const auto& [point, row] : rows) table.addRow(row);
   table.printAligned(std::cout);
   std::printf("\nCSV:\n");
   table.printCsv(std::cout);

@@ -1,22 +1,23 @@
-// Shared infrastructure for the figure-reproduction benchmarks.
+// The one harness of the benchmark binaries.
 //
-// Every bench binary runs one synthesis per parameter point under
+// A synthesis bench runs one synthesis per parameter point under
 // google-benchmark (a single timed iteration — synthesis is deterministic
-// and far beyond microbenchmark noise), attaches the paper's metrics as
-// counters, prints the figure-shaped table — the time split (ranking /
-// SCC detection / total, Figures 6/8/10) and the space metrics in BDD
-// nodes (average SCC size / total program size, Figures 7/9/11) — and
-// writes the same rows as a machine-readable BENCH_<name>.json record so
-// future changes have a perf trajectory to regress against (see
-// docs/observability.md).
+// and far beyond microbenchmark noise) and records the point once, with
+// its full core::SynthesisStats. Everything it prints afterwards — the
+// figure-shaped tables: the time split (ranking / SCC detection / total,
+// Figures 6/8/10) and the space metrics in BDD nodes (average SCC size /
+// total program size, Figures 7/9/11) — is read from those records, and
+// so is the machine-readable BENCH_<name>.json document, whose `stats`
+// objects are written by SynthesisStats::writeJson exactly as the CLI's
+// --stats-json writes them (see docs/observability.md).
 #pragma once
 
 #include <benchmark/benchmark.h>
 
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -30,10 +31,10 @@ namespace stsyn::bench {
 
 struct RunRecord {
   std::string label;
-  double x = 0;  // the sweep parameter (#processes or |D|)
+  double x = 0;  ///< the sweep parameter (#processes or |D|), never a result
   bool success = false;
-  core::SynthesisStats stats;
   std::string note;  ///< failure diagnosis for unsuccessful runs
+  core::SynthesisStats stats;
 };
 
 inline std::vector<RunRecord>& records() {
@@ -43,8 +44,8 @@ inline std::vector<RunRecord>& records() {
 
 /// Upserts the record of one (label, x) parameter point; the last run
 /// wins. google-benchmark may execute the timed loop more than once
-/// (iteration-count estimation, --benchmark_repetitions); a plain
-/// push_back from inside the loop used to duplicate every figure row.
+/// (--benchmark_repetitions); a plain push_back from inside the loop
+/// would duplicate every row.
 inline void recordPoint(RunRecord r) {
   for (RunRecord& existing : records()) {
     if (existing.label == r.label && existing.x == r.x) {
@@ -107,48 +108,49 @@ inline std::string benchJsonPath(const char* name) {
   return path + "BENCH_" + name + ".json";
 }
 
-/// Writes every recorded parameter point as one machine-readable JSON
-/// document (per-point ranking/scc/total seconds, program/peak nodes, M,
-/// pass, success) — the regression baseline consumed by CI's bench-smoke
-/// job and by future perf comparisons. Returns false when the file could
-/// not be written.
-inline bool writeBenchJson(const char* name) {
+/// Writes BENCH_<name>.json: the envelope {schema_version, bench,
+/// records: [...]} around the `count` array elements `writeRecords`
+/// emits. Returns false when the file could not be written.
+inline bool writeBenchDocument(
+    const char* name, std::size_t count,
+    const std::function<void(obs::JsonWriter&)>& writeRecords) {
   const std::string path = benchJsonPath(name);
   std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return false;
-  }
   obs::JsonWriter w(out);
   w.beginObject();
   w.field("schema_version", core::kStatsJsonSchemaVersion);
   w.field("bench", name);
   w.key("records");
   w.beginArray();
-  for (const RunRecord& r : records()) {
-    w.beginObject();
-    w.field("label", r.label);
-    w.field("x", r.x);
-    w.field("success", r.success);
-    w.field("ranking_seconds", r.stats.rankingSeconds);
-    w.field("scc_seconds", r.stats.sccSeconds);
-    w.field("total_seconds", r.stats.totalSeconds);
-    w.field("rank_count", static_cast<std::uint64_t>(r.stats.rankCount));
-    w.field("program_nodes",
-            static_cast<std::uint64_t>(r.stats.programNodes));
-    w.field("avg_scc_nodes", r.stats.avgSccNodes());
-    w.field("peak_live_nodes",
-            static_cast<std::uint64_t>(r.stats.peakLiveNodes));
-    w.field("pass", r.stats.passCompleted);
-    w.field("note", r.note);
-    w.endObject();
-  }
+  writeRecords(w);
   w.endArray();
   w.endObject();
   out << '\n';
-  const bool ok = out.good();
-  std::printf("\nwrote %s (%zu records)\n", path.c_str(), records().size());
-  return ok;
+  if (!out.good()) {
+    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::printf("\nwrote %s (%zu records)\n", path.c_str(), count);
+  return true;
+}
+
+/// Writes every recorded parameter point — {label, x, success, note,
+/// stats} — as BENCH_<name>.json, the trajectory CI's bench-smoke job
+/// validates against the CLI's stats document.
+inline bool writeBenchJson(const char* name) {
+  return writeBenchDocument(
+      name, records().size(), [](obs::JsonWriter& w) {
+        for (const RunRecord& r : records()) {
+          w.beginObject();
+          w.field("label", r.label);
+          w.field("x", r.x);
+          w.field("success", r.success);
+          w.field("note", r.note);
+          w.key("stats");
+          r.stats.writeJson(w);
+          w.endObject();
+        }
+      });
 }
 
 }  // namespace stsyn::bench

@@ -27,7 +27,7 @@ void BM_TokenRingSynthesis(benchmark::State& state) {
         r.success && verify::check(sp, r.relation).stronglyStabilizing();
     bench::attachCounters(state, r.stats, ok);
     bench::recordPoint(
-        {"token-ring", static_cast<double>(k), ok, r.stats, ""});
+        {"token-ring", static_cast<double>(k), ok, "", r.stats});
   }
 }
 

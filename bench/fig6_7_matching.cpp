@@ -35,7 +35,7 @@ void BM_MatchingSynthesis(benchmark::State& state) {
                      verify::check(sp, r.relation).stronglyStabilizing());
     bench::attachCounters(state, r.stats, ok);
     bench::recordPoint(
-        {"matching", static_cast<double>(k), ok, r.stats, ""});
+        {"matching", static_cast<double>(k), ok, "", r.stats});
   }
 }
 

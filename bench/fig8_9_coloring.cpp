@@ -33,7 +33,7 @@ void BM_ColoringSynthesis(benchmark::State& state) {
     state.counters["fast_path_hits"] =
         static_cast<double>(r.stats.sccFastPathHits);
     bench::recordPoint(
-        {"coloring", static_cast<double>(k), ok, r.stats, ""});
+        {"coloring", static_cast<double>(k), ok, "", r.stats});
   }
 }
 

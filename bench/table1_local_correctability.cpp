@@ -12,9 +12,9 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <fstream>
-#include <iostream>
 #include <functional>
+#include <iostream>
+#include <optional>
 #include <string>
 
 #include "bench/common.hpp"
@@ -42,15 +42,18 @@ const Case kCases[] = {
     {"Two-Ring TR", [] { return casestudies::twoRing(2); }, false},
 };
 
+/// The verdict of each case, recorded by its timed loop.
+std::optional<explicitstate::LocalCorrectReport> reports[std::size(kCases)];
+
 void BM_LocalCorrectability(benchmark::State& state) {
-  const Case& c = kCases[state.range(0)];
-  const protocol::Protocol p = c.make();
+  const std::size_t i = static_cast<std::size_t>(state.range(0));
+  const protocol::Protocol p = kCases[i].make();
   for (auto _ : state) {
-    const auto report = explicitstate::analyzeLocalCorrectability(p);
+    reports[i] = explicitstate::analyzeLocalCorrectability(p);
     state.counters["locally_correctable"] =
-        report.isLocallyCorrectable() ? 1 : 0;
+        reports[i]->isLocallyCorrectable() ? 1 : 0;
     state.counters["matches_paper"] =
-        report.isLocallyCorrectable() == c.paperSaysYes ? 1 : 0;
+        reports[i]->isLocallyCorrectable() == kCases[i].paperSaysYes ? 1 : 0;
   }
 }
 
@@ -59,7 +62,7 @@ void BM_LocalCorrectability(benchmark::State& state) {
 int main(int argc, char** argv) {
   auto* bm = benchmark::RegisterBenchmark("local_correctability",
                                           BM_LocalCorrectability);
-  for (long i = 0; i < 4; ++i) bm->Arg(i);
+  for (long i = 0; i < static_cast<long>(std::size(kCases)); ++i) bm->Arg(i);
   bm->Unit(benchmark::kMillisecond);
 
   benchmark::Initialize(&argc, argv);
@@ -70,39 +73,34 @@ int main(int argc, char** argv) {
               "studies ===\n");
   stsyn::util::Table table(
       {"case_study", "computed_verdict", "paper", "match"});
-  const std::string jsonPath =
-      stsyn::bench::benchJsonPath("table1_local_correctability");
-  std::ofstream json(jsonPath);
-  stsyn::obs::JsonWriter w(json);
-  w.beginObject();
-  w.field("schema_version", stsyn::core::kStatsJsonSchemaVersion);
-  w.field("bench", "table1_local_correctability");
-  w.key("records");
-  w.beginArray();
-  for (const Case& c : kCases) {
-    const auto report =
-        explicitstate::analyzeLocalCorrectability(c.make());
-    const bool match = report.isLocallyCorrectable() == c.paperSaysYes;
-    table.addRow({c.name, explicitstate::toString(report.verdict),
-                  c.paperSaysYes ? "Yes" : "No", match ? "yes" : "NO"});
-    w.beginObject();
-    w.field("case_study", c.name);
-    w.field("computed_verdict", explicitstate::toString(report.verdict));
-    w.field("locally_correctable", report.isLocallyCorrectable());
-    w.field("paper_says_yes", c.paperSaysYes);
-    w.field("matches_paper", match);
-    w.endObject();
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < std::size(kCases); ++i) {
+    if (!reports[i]) continue;
+    const bool match =
+        reports[i]->isLocallyCorrectable() == kCases[i].paperSaysYes;
+    table.addRow({kCases[i].name, explicitstate::toString(reports[i]->verdict),
+                  kCases[i].paperSaysYes ? "Yes" : "No",
+                  match ? "yes" : "NO"});
+    ++count;
   }
-  w.endArray();
-  w.endObject();
-  json << '\n';
   table.printAligned(std::cout);
   std::printf("\nCSV:\n");
   table.printCsv(std::cout);
-  if (!json.good()) {
-    std::fprintf(stderr, "bench: cannot write %s\n", jsonPath.c_str());
-    return 1;
-  }
-  std::printf("\nwrote %s (4 records)\n", jsonPath.c_str());
-  return 0;
+
+  const bool wrote = stsyn::bench::writeBenchDocument(
+      "table1_local_correctability", count, [](stsyn::obs::JsonWriter& w) {
+        for (std::size_t i = 0; i < std::size(kCases); ++i) {
+          if (!reports[i]) continue;
+          const bool yes = reports[i]->isLocallyCorrectable();
+          w.beginObject();
+          w.field("case_study", kCases[i].name);
+          w.field("computed_verdict",
+                  explicitstate::toString(reports[i]->verdict));
+          w.field("locally_correctable", yes);
+          w.field("paper_says_yes", kCases[i].paperSaysYes);
+          w.field("matches_paper", yes == kCases[i].paperSaysYes);
+          w.endObject();
+        }
+      });
+  return wrote ? 0 : 1;
 }

@@ -33,7 +33,10 @@ namespace stsyn::core {
 /// v4: the two keys of the removed partitioned image path are gone, from
 /// the stats object and from the portfolio rows (see
 /// docs/observability.md).
-inline constexpr int kStatsJsonSchemaVersion = 4;
+/// v5: bench records carry this struct's writeJson object under `stats`;
+/// their record-level copies of eight of its values are gone (see
+/// docs/observability.md).
+inline constexpr int kStatsJsonSchemaVersion = 5;
 
 struct SynthesisStats {
   double rankingSeconds = 0.0;

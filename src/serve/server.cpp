@@ -20,6 +20,7 @@
 
 #include "analysis/staticinfo.hpp"
 #include "cli/driver.hpp"
+#include "core/stats.hpp"
 #include "lang/parser.hpp"
 #include "lang/printer.hpp"
 #include "obs/json.hpp"
@@ -211,12 +212,14 @@ bool applyLintOptions(const obs::JsonValue& opts, cli::Options& o,
 }
 
 /// Every option that can change the produced document, rendered into the
-/// cache key. timeout_ms is deliberately absent: a cached result answers
-/// any deadline instantly, so two requests differing only in budget share
-/// an entry.
+/// cache key, after the document's schema version (so a persisted entry
+/// written under another schema is a miss, not a replay). timeout_ms is
+/// deliberately absent: a cached result answers any deadline instantly,
+/// so two requests differing only in budget share an entry.
 std::string optionsFingerprint(const cli::Options& o) {
   std::ostringstream key;
-  key << "mode=" << static_cast<int>(o.mode) << ";maxPass=" << o.strong.maxPass
+  key << "schema=" << core::kStatsJsonSchemaVersion
+      << ";mode=" << static_cast<int>(o.mode) << ";maxPass=" << o.strong.maxPass
       << ";greedy=" << o.strong.greedyCycleResolution
       << ";varOrder=" << static_cast<int>(o.encoding.varOrder)
       << ";portfolio=" << o.portfolio << ";orbitPrune=" << o.orbitPrune

@@ -376,7 +376,7 @@ TEST(StatsJson, WriteJsonRoundTripsEveryField) {
         "image_part_products"}) {
     EXPECT_EQ(doc->find(removed), nullptr) << removed;
   }
-  EXPECT_EQ(core::kStatsJsonSchemaVersion, 4);
+  EXPECT_EQ(core::kStatsJsonSchemaVersion, 5);
 }
 
 // The human-readable summary is consumed by eyeballs and by the existing

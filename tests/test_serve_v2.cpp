@@ -30,6 +30,7 @@
 #include <unistd.h>
 
 #include "casestudies/token_ring.hpp"
+#include "core/stats.hpp"
 #include "lang/printer.hpp"
 #include "obs/json.hpp"
 #include "serve/fairness.hpp"
@@ -803,6 +804,61 @@ TEST(PersistV2, RestartReplaysWarmByteForByte) {
     return payload.substr(at);
   };
   EXPECT_EQ(fragmentOf(coldResponse), fragmentOf(warmResponse));
+}
+
+// The cache key names the stats schema version, so an entry persisted by
+// a daemon writing another schema (an old --cache-dir) is never replayed
+// as a current document: after a restart it loads, and still misses.
+TEST(PersistV2, EntryFromAnotherSchemaVersionIsAMiss) {
+  TempDir dir;
+  const std::string source = tokenRingSource(3, 2);
+
+  {
+    serve::ServeOptions options = smallServer();
+    options.cacheDir = dir.path.string();
+    RunningServer rs(options);
+    PipelinedClient c(rs.port());
+    ASSERT_TRUE(c.connected());
+    c.send(synthesizeRequest(source));
+    ASSERT_TRUE(parsed(c.receive()).find("ok")->boolean);
+  }
+
+  // Rewrite the one entry as if the previous schema's daemon had written
+  // it: same protocol, options and result, another version in the key.
+  std::string key;
+  std::string result;
+  ASSERT_EQ(serve::loadCacheDir(
+                dir.path.string(),
+                [&](std::string k, std::string r) {
+                  key = std::move(k);
+                  result = std::move(r);
+                }),
+            1u);
+  const std::string current =
+      "schema=" + std::to_string(core::kStatsJsonSchemaVersion) + ";";
+  const std::size_t at = key.find(current);
+  ASSERT_NE(at, std::string::npos) << key;
+  std::string staleKey = key;
+  staleKey.replace(
+      at, current.size(),
+      "schema=" + std::to_string(core::kStatsJsonSchemaVersion - 1) + ";");
+  fs::remove(dir.path / serve::cacheEntryFileName(key));
+  ASSERT_TRUE(serve::writeCacheEntry(dir.path.string(), staleKey, result));
+
+  serve::ServeOptions options = smallServer();
+  options.cacheDir = dir.path.string();
+  RunningServer restarted(options);
+  EXPECT_EQ(restarted.server.cacheEntriesLoaded(), 1u);
+  EXPECT_EQ(restarted.server.cacheEntriesRejected(), 0u);
+
+  PipelinedClient c(restarted.port());
+  ASSERT_TRUE(c.connected());
+  c.send(synthesizeRequest(source));
+  auto doc = parsed(c.receive());
+  ASSERT_TRUE(doc.find("ok")->boolean);
+  EXPECT_FALSE(doc.find("cache_hit")->boolean);
+  EXPECT_EQ(restarted.server.counters().cacheHits.load(), 0u);
+  EXPECT_EQ(restarted.server.counters().cacheMisses.load(), 1u);
 }
 
 TEST(PersistV2, CorruptEntriesOnDiskDegradeToMisses) {
