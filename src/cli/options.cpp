@@ -20,15 +20,16 @@ std::optional<std::uint64_t> parseUint(std::string_view s,
 }
 
 int usage(std::ostream& err) {
-  err << "usage: stsyn <protocol.stsyn> [--weak] [--schedule P1,P0,...]"
-         " [--max-pass N] [--no-greedy]"
-         " [--var-order declared|static] [--orbit-prune]"
-         " [--timeout MS] [--print] [--quiet]"
-         " [--stats-json FILE] [--trace FILE]\n"
+  err << "usage: stsyn <protocol.stsyn> [--weak | --verify]"
+         " [--schedule P1,P0,... | --portfolio N [--orbit-prune]]"
+         " [--max-pass N] [--no-greedy] [--var-order declared|static]"
+         " [--timeout MS] [--explain] [--print] [--quiet]"
+         " [--output FILE] [--stats-json FILE] [--trace FILE]\n"
          "       stsyn lint <protocol.stsyn> [--werror] [--no-symbolic]"
-         " [--format=sarif|text]\n"
+         " [--format=sarif|text]   (or: stsyn <protocol.stsyn> --lint ...)\n"
          "       stsyn serve [--port N] [--workers N] [--queue N]"
-         " [--cache N] [--cache-dir PATH] [--max-inflight N]\n";
+         " [--cache N] [--cache-dir PATH] [--max-inflight N]"
+         " [--trace FILE]\n";
   return 2;
 }
 
@@ -214,6 +215,11 @@ int parseArgs(int argc, const char* const* argv, Options& out,
   }
   if (out.orbitPrune && portfolio == 0) {
     err << "stsyn: --orbit-prune requires --portfolio\n";
+    return 2;
+  }
+  if (!out.scheduleArg.empty() && portfolio > 0) {
+    err << "stsyn: --schedule conflicts with --portfolio (every portfolio "
+           "instance runs its own schedule)\n";
     return 2;
   }
   return -1;

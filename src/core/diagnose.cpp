@@ -70,9 +70,9 @@ Diagnosis diagnose(const SymbolicProtocol& sp, const StrongResult& result,
               sp.enc().stateBdd(s0) & sp.onNext(sp.enc().stateBdd(s1));
           const Bdd group = sp.groupExpand(j, member);
           pool = pool.minus(group);
-          const symbolic::ImageEngine combined(sp, result.relation | group);
-          const Bdd cone = symbolic::cycleCone(combined, group, notI);
-          if (cone.isFalse() || !symbolic::hasCycle(combined, cone)) {
+          const Bdd combined = result.relation | group;
+          const Bdd cone = symbolic::cycleCone(sp, combined, group, notI);
+          if (cone.isFalse() || !symbolic::hasCycle(sp, combined, cone)) {
             return true;
           }
           if ((pool & sB).isFalse()) break;
@@ -117,19 +117,6 @@ std::string Diagnosis::summary(const protocol::Protocol& proto) const {
     }
   }
   return os.str();
-}
-
-std::size_t recoveryDepth(const SymbolicProtocol& sp, const Bdd& relation) {
-  const Bdd valid = sp.enc().validCur();
-  Bdd explored = sp.invariant();
-  std::size_t depth = 0;
-  for (;;) {
-    const Bdd frontier = sp.preimage(relation, explored) & valid & !explored;
-    if (frontier.isFalse()) break;
-    explored |= frontier;
-    ++depth;
-  }
-  return explored == valid ? depth : SIZE_MAX;
 }
 
 }  // namespace stsyn::core

@@ -47,11 +47,4 @@ struct Diagnosis {
                                  const StrongResult& result,
                                  std::size_t maxWitnesses = 5);
 
-/// Worst-case recovery distance of a (stabilizing) relation: the maximum
-/// over states of the shortest path length to I — i.e. the number of
-/// non-empty backward-BFS layers. Useful as a quality metric of the
-/// synthesized protocol; returns SIZE_MAX when some state cannot reach I.
-[[nodiscard]] std::size_t recoveryDepth(const symbolic::SymbolicProtocol& sp,
-                                        const bdd::Bdd& relation);
-
 }  // namespace stsyn::core

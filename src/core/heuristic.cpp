@@ -11,7 +11,6 @@
 namespace stsyn::core {
 
 using bdd::Bdd;
-using symbolic::ImageEngine;
 using symbolic::SymbolicProtocol;
 
 const char* toString(Failure f) {
@@ -30,9 +29,8 @@ const char* toString(Failure f) {
 
 namespace {
 
-/// Mutable synthesis state threaded through the passes. All fixpoints run
-/// through an ImageEngine over pss; the additions are also kept per
-/// process for extraction.
+/// Mutable synthesis state threaded through the passes: pss, its
+/// deadlocks, and the additions kept per process for extraction.
 class Synthesizer {
  public:
   Synthesizer(const SymbolicProtocol& sp, const Schedule& schedule,
@@ -43,14 +41,14 @@ class Synthesizer {
         inv_(sp.invariant()),
         notI_(sp.enc().validCur() & !inv_),
         added_(sp.processCount()),
-        engine_(sp, sp.protocolRelation()) {
+        pss_(sp.protocolRelation()) {
     for (std::size_t j = 0; j < sp.processCount(); ++j) {
       added_[j] = sp.manager().falseBdd();
     }
     deadlocks_ = computeDeadlocks();
   }
 
-  [[nodiscard]] const Bdd& pss() const { return engine_.relation(); }
+  [[nodiscard]] const Bdd& pss() const { return pss_; }
   [[nodiscard]] const Bdd& deadlocks() const { return deadlocks_; }
   [[nodiscard]] std::vector<Bdd> added() const { return added_; }
 
@@ -63,7 +61,7 @@ class Synthesizer {
   /// lets them restrict it to a cycle cone does not hold yet.
   /// Runs before any recovery is added, so pss is still p.
   [[nodiscard]] bool removePreexistingCycles() {
-    const symbolic::SccResult sccs = detectSccs(engine_, notI_);
+    const symbolic::SccResult sccs = detectSccs(pss_, notI_);
     if (sccs.components.empty()) return true;
     std::vector<Bdd> proc;
     for (std::size_t j = 0; j < sp_.processCount(); ++j) {
@@ -79,19 +77,16 @@ class Synthesizer {
         proc[j] = proc[j].minus(group);
       }
     }
-    Bdd pss = sp_.manager().falseBdd();
-    for (const Bdd& r : proc) pss |= r;
-    engine_ = ImageEngine(sp_, std::move(pss));
+    pss_ = sp_.manager().falseBdd();
+    for (const Bdd& r : proc) pss_ |= r;
     deadlocks_ = computeDeadlocks();
     return true;
   }
 
   /// Does pss restricted to ¬I still contain a cycle? (The already-stable
   /// early exit of addStrongConvergence.)
-  [[nodiscard]] bool hasCycleOutsideInvariant() {
-    const bool cyclic = symbolic::hasCycle(engine_, notI_);
-    stats_.addEngine(engine_.drainStats());
-    return cyclic;
+  [[nodiscard]] bool hasCycleOutsideInvariant() const {
+    return symbolic::hasCycle(sp_, pss_, notI_);
   }
 
   /// Greedy cycle resolution (the implementation's "pass 4", see
@@ -120,11 +115,11 @@ class Synthesizer {
         {
           obs::AccumSpan timeIt(stats_.sccSeconds, "greedy_cycle_check",
                                 "scc");
-          const ImageEngine candidate = withGroups(group);
-          const Bdd cone = symbolic::cycleCone(candidate, group, notI_,
+          const Bdd candidate = pss_ | group;
+          const Bdd cone = symbolic::cycleCone(sp_, candidate, group, notI_,
                                                &stats_.sccSymbolicSteps);
-          cyclic = !cone.isFalse() && symbolic::hasCycle(candidate, cone);
-          stats_.addEngine(candidate.drainStats());
+          cyclic =
+              !cone.isFalse() && symbolic::hasCycle(sp_, candidate, cone);
         }
         if (cyclic) continue;
         commit(j, group);
@@ -176,14 +171,13 @@ class Synthesizer {
     // on the cone only, seeded with the sources of those edges, and is
     // skipped outright when the cone is empty (the batch provably closes
     // no cycle).
-    const ImageEngine candidate = withGroups(groups);
+    const Bdd candidate = pss_ | groups;
     Bdd cone;
     Bdd seeds;
     {
       obs::AccumSpan timeIt(stats_.sccSeconds, "acyclic_increment", "scc");
-      cone = symbolic::cycleCone(candidate, groups, notI_,
+      cone = symbolic::cycleCone(sp_, candidate, groups, notI_,
                                  &stats_.sccSymbolicSteps);
-      stats_.addEngine(candidate.drainStats());
       if (cone.isFalse()) {
         stats_.sccFastPathHits += 1;
         commit(j, groups);
@@ -201,35 +195,22 @@ class Synthesizer {
     commit(j, groups);
   }
 
-  /// A candidate engine: pss with `groups` added.
-  [[nodiscard]] ImageEngine withGroups(const Bdd& groups) const {
-    ImageEngine candidate = engine_;
-    candidate.grow(groups);
-    return candidate;
-  }
-
   /// Adds an accepted batch of process j to pss.
   void commit(std::size_t j, const Bdd& groups) {
     added_[j] |= groups;
-    engine_.grow(groups);
+    pss_ |= groups;
   }
 
   /// Deadlocks of the current pss — valid ¬I states with no successor.
-  [[nodiscard]] Bdd computeDeadlocks() {
-    const Bdd d = sp_.enc().validCur() & !inv_ & !engine_.sources();
-    stats_.addEngine(engine_.drainStats());
-    return d;
-  }
+  [[nodiscard]] Bdd computeDeadlocks() const { return sp_.deadlocks(pss_); }
 
-  /// Non-trivial SCCs of the engine's relation within `domain` (all of ¬I,
-  /// or a cycle cone with its seeds), recorded in the stats and on the
-  /// trace span.
-  [[nodiscard]] symbolic::SccResult detectSccs(const ImageEngine& engine,
+  /// Non-trivial SCCs of `rel` within `domain` (all of ¬I, or a cycle
+  /// cone with its seeds), recorded in the stats and on the trace span.
+  [[nodiscard]] symbolic::SccResult detectSccs(const Bdd& rel,
                                                const Bdd& domain,
                                                const Bdd* seeds = nullptr) {
     obs::AccumSpan timeIt(stats_.sccSeconds, "scc_detect", "scc");
-    symbolic::SccResult r = symbolic::nontrivialSccs(engine, domain, seeds);
-    stats_.addEngine(engine.drainStats());
+    symbolic::SccResult r = symbolic::nontrivialSccs(sp_, rel, domain, seeds);
     timeIt.span().arg("components", r.components.size());
     timeIt.span().arg("symbolic_steps", r.symbolicSteps);
     timeIt.span().arg("cone_nodes", domain.nodeCount());
@@ -246,7 +227,7 @@ class Synthesizer {
   Bdd inv_;
   Bdd notI_;
   std::vector<Bdd> added_;
-  ImageEngine engine_;  ///< engine over pss
+  Bdd pss_;
   Bdd deadlocks_;
 };
 
@@ -270,6 +251,8 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
   }
 
   out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
+  const std::size_t imageOps0 = sp.imageOps();
+  const std::size_t preimageOps0 = sp.preimageOps();
 
   // Preprocessing: ranking approximation (Section IV). Rank-infinity states
   // refute the existence of any stabilizing version (Theorem IV.1).
@@ -285,6 +268,8 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
     out.remainingDeadlocks = syn.deadlocks();
     out.stats.totalSeconds += total.seconds();
     out.stats.programNodes = out.relation.nodeCount();
+    out.stats.imageOps = sp.imageOps() - imageOps0;
+    out.stats.preimageOps = sp.preimageOps() - preimageOps0;
     out.stats.copyManagerStats(sp.manager().stats());
     synthSpan.arg("success", success);
     synthSpan.arg("pass", out.stats.passCompleted);

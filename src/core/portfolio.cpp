@@ -115,7 +115,7 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
             std::make_unique<symbolic::Encoding>(proto, options.encoding);
         inst.symbolic =
             std::make_unique<symbolic::SymbolicProtocol>(*inst.encoding);
-        StrongOptions opt;
+        StrongOptions opt = options.strong;
         opt.schedule = inst.schedule;
         try {
           inst.result = addStrongConvergence(*inst.symbolic, opt);

@@ -78,6 +78,9 @@ struct PortfolioOptions {
   unsigned threads = 0;
   /// Encoding seed (variable order) every instance is built with.
   symbolic::EncodingOptions encoding;
+  /// Heuristic options every instance runs with (--max-pass, --no-greedy);
+  /// each instance replaces `schedule` with its own.
+  StrongOptions strong;
   /// Dedupe schedules equivalent under process symmetry orbits
   /// (analysis::computeOrbits): of each group of schedules with equal
   /// orbit signatures only the earliest runs up front; the rest are

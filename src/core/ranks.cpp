@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "obs/trace.hpp"
-#include "symbolic/frontier.hpp"
 #include "util/cancel.hpp"
 
 namespace stsyn::core {
@@ -15,8 +14,6 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
                      SynthesisStats* stats) {
   double elapsed = 0.0;
   Ranking out;
-  std::size_t frontierSteps = 0;
-  symbolic::ImageEngineStats engineStats;
   {
     obs::AccumSpan timeIt(elapsed, "ranking", "synthesis");
 
@@ -29,45 +26,27 @@ Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
     // wholesale (constraint C1). Since A_j keeps the unreadables unchanged,
     // that exclusion is the state predicate ∃u_j.I, not a relational
     // product: part_j = delta_j ∪ (A_j ∧ ¬∃u_j.I).
-    Bdd pim = sp.manager().falseBdd();
+    out.pim = sp.manager().falseBdd();
     for (std::size_t j = 0; j < sp.processCount(); ++j) {
       util::checkCancellation();
-      pim |= sp.processRelation(j) |
-             (sp.candidates(j) & !sp.hideUnreadables(j, inv));
+      out.pim |= sp.processRelation(j) |
+                 (sp.candidates(j) & !sp.hideUnreadables(j, inv));
     }
-    out.pim = pim;
-    const symbolic::ImageEngine engine(sp, std::move(pim));
 
-    // Step 2: backward BFS from I. Each round collects the states outside
-    // `explored` with a p_im transition into `explored`; by the BFS
-    // shortest-path property every predecessor of an older rank is already
-    // explored, so these are exactly the states with one transition into
-    // the previous rank. The operand is the explored set, not the newest
-    // rank: a single rank is a badly shaped BDD. On coloring(30) the 16
-    // operands total 42k nodes as explored sets and 48k as ranks, and
-    // their preimages 46k against 414k.
-    Bdd explored = inv;
-    out.ranks.push_back(inv);
-    for (;;) {
-      util::checkCancellation();
-      const Bdd rank =
-          engine.preimage(explored) & sp.enc().validCur() & !explored;
-      ++frontierSteps;
-      if (rank.isFalse()) break;
-      out.ranks.push_back(rank);
-      explored |= rank;
-    }
-    out.unreachable = sp.enc().validCur() & !explored;
-    engineStats = engine.drainStats();
+    // Step 2: backward BFS from I. By the shortest-path property every
+    // predecessor of an older rank is already explored, so each new layer
+    // holds exactly the states with one transition into the previous rank.
+    symbolic::BfsLayers bfs = symbolic::backwardBfs(sp, out.pim, inv);
+    out.ranks = std::move(bfs.layers);
+    out.unreachable = std::move(bfs.unreachable);
     timeIt.span().arg("ranks", out.maxRank());
     timeIt.span().arg("complete", out.complete());
-    timeIt.span().arg("frontier_steps", frontierSteps);
+    timeIt.span().arg("frontier_steps", out.ranks.size());
   }
   if (stats != nullptr) {
     stats->rankingSeconds += elapsed;
     stats->rankCount = out.maxRank();
-    stats->frontierSteps += frontierSteps;
-    stats->addEngine(engineStats);
+    stats->frontierSteps += out.ranks.size();
   }
   return out;
 }

@@ -40,11 +40,11 @@ struct Ranking {
   [[nodiscard]] bool complete() const { return unreachable.isFalse(); }
 };
 
-/// Runs both steps. If `stats` is non-null, ranking time, M, and the
-/// image-engine counters are accumulated into it. Each p_im part is built
-/// from a state predicate, with no relational product. Each BFS round takes
-/// the preimage of the whole explored set: on coloring(30) the explored
-/// sets' preimages total 46k nodes where the newest ranks' total 414k.
+/// Runs both steps. If `stats` is non-null, ranking time, M and the BFS
+/// rounds (frontier_steps) are accumulated into it; the preimage products
+/// are counted by `sp` (SymbolicProtocol::preimageOps). Each p_im part is
+/// built from a state predicate, with no relational product. Step 2 is
+/// symbolic::backwardBfs over p_im.
 [[nodiscard]] Ranking computeRanks(const symbolic::SymbolicProtocol& sp,
                                    SynthesisStats* stats = nullptr);
 

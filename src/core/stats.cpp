@@ -5,14 +5,8 @@
 
 #include "bdd/bdd.hpp"
 #include "obs/json.hpp"
-#include "symbolic/frontier.hpp"
 
 namespace stsyn::core {
-
-void SynthesisStats::addEngine(const symbolic::ImageEngineStats& e) {
-  imageOps += e.imageCalls;
-  preimageOps += e.preimageCalls;
-}
 
 void SynthesisStats::copyManagerStats(const bdd::ManagerStats& ms) {
   peakLiveNodes = ms.peakLiveNodes;

@@ -15,10 +15,6 @@ namespace stsyn::bdd {
 struct ManagerStats;
 }  // namespace stsyn::bdd
 
-namespace stsyn::symbolic {
-struct ImageEngineStats;
-}  // namespace stsyn::symbolic
-
 namespace stsyn::core {
 
 /// Version of the machine-readable stats/bench documents. Bump on any
@@ -80,14 +76,13 @@ struct SynthesisStats {
   /// ("declared" or "static"; empty when the run predates the setting).
   std::string varOrder;
 
-  std::size_t imageOps = 0;     ///< ImageEngine image() fixpoint steps
-  std::size_t preimageOps = 0;  ///< ImageEngine preimage() fixpoint steps
+  /// SymbolicProtocol::image / preimage products taken during this run
+  /// (the difference of the protocol's counters over the run).
+  std::size_t imageOps = 0;
+  std::size_t preimageOps = 0;
   /// Backward-BFS rounds of the ranking fixpoint (one preimage of the
   /// explored set per round, the last one finding nothing new).
   std::size_t frontierSteps = 0;
-
-  /// Folds one engine's drained counters into this run's totals.
-  void addEngine(const symbolic::ImageEngineStats& e);
 
   /// Copies the manager's peaks, GC, cache, unique-table and reorder
   /// counters (cumulative since the manager was built) into this run.

@@ -8,7 +8,9 @@ WeakResult addWeakConvergence(const symbolic::SymbolicProtocol& sp) {
   WeakResult out;
   util::Stopwatch total;
   out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
-  out.ranking = computeRanks(sp, &out.stats);
+  const std::size_t preimageOps0 = sp.preimageOps();
+  out.ranking = computeRanks(sp, &out.stats);  // takes no image products
+  out.stats.preimageOps = sp.preimageOps() - preimageOps0;
   out.relation = out.ranking.pim;
   out.rankInfinityStates = out.ranking.unreachable;
   out.success = out.ranking.complete();

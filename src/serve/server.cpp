@@ -173,6 +173,11 @@ bool applyRequestOptions(const obs::JsonValue& opts, cli::Options& o,
     error = "orbit_prune requires portfolio > 0";
     return false;
   }
+  if (!o.scheduleArg.empty() && portfolio > 0) {
+    error = "schedule conflicts with portfolio (every portfolio instance "
+            "runs its own schedule)";
+    return false;
+  }
   if (weak && verify) {
     error = "weak and verify are mutually exclusive";
     return false;

@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "util/cancel.hpp"
+
 namespace stsyn::symbolic {
 
 using bdd::Bdd;
@@ -149,10 +151,14 @@ Bdd SymbolicProtocol::closeGroups(std::size_t j, const Bdd& t) const {
 }
 
 Bdd SymbolicProtocol::image(const Bdd& t, const Bdd& s) const {
+  util::checkCancellation();
+  ++imageOps_;
   return enc_.nextToCur(t.andExists(s, enc_.curCube()));
 }
 
 Bdd SymbolicProtocol::preimage(const Bdd& t, const Bdd& s) const {
+  util::checkCancellation();
+  ++preimageOps_;
   return t.andExists(enc_.curToNext(s), enc_.nextCube());
 }
 
@@ -166,7 +172,12 @@ Bdd SymbolicProtocol::restrictRel(const Bdd& t, const Bdd& x) const {
 }
 
 Bdd SymbolicProtocol::sources(const Bdd& t) const {
+  util::checkCancellation();
   return t.exists(enc_.nextCube());
+}
+
+Bdd SymbolicProtocol::targets(const Bdd& t) const {
+  return enc_.nextToCur(t.exists(enc_.curCube()));
 }
 
 Bdd SymbolicProtocol::deadlocks(const Bdd& t) const {
@@ -231,6 +242,22 @@ std::pair<std::vector<int>, std::vector<int>> SymbolicProtocol::pickTransition(
   for (protocol::VarId v = 0; v < n; ++v) cur[v] = choose(v, false);
   for (protocol::VarId v = 0; v < n; ++v) nxt[v] = choose(v, true);
   return {cur, nxt};
+}
+
+BfsLayers backwardBfs(const SymbolicProtocol& sp, const Bdd& rel,
+                      const Bdd& target) {
+  const Bdd valid = sp.enc().validCur();
+  BfsLayers out;
+  out.layers.push_back(target);
+  Bdd explored = target;
+  for (;;) {
+    const Bdd layer = sp.preimage(rel, explored) & valid & !explored;
+    if (layer.isFalse()) break;
+    out.layers.push_back(layer);
+    explored |= layer;
+  }
+  out.unreachable = valid & !explored;
+  return out;
 }
 
 }  // namespace stsyn::symbolic

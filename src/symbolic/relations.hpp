@@ -88,6 +88,12 @@ class SymbolicProtocol {
   [[nodiscard]] bdd::Bdd hideUnreadables(std::size_t j,
                                          const bdd::Bdd& s) const;
 
+  // The relational products every fixpoint steps through. Each polls the
+  // caller's cancellation token, so no fixpoint runs more than one product
+  // past its deadline, and bumps imageOps()/preimageOps(). T is the whole
+  // relation, never a per-process part: those ran up to 15x slower
+  // (EXPERIMENTS.md, "One transition relation").
+
   /// Successors of S under relation T: { s' : exists s in S, (s,s') in T },
   /// expressed over current-state levels.
   [[nodiscard]] bdd::Bdd image(const bdd::Bdd& t, const bdd::Bdd& s) const;
@@ -95,13 +101,23 @@ class SymbolicProtocol {
   /// Predecessors of S under T: { s : exists s' in S, (s,s') in T }.
   [[nodiscard]] bdd::Bdd preimage(const bdd::Bdd& t, const bdd::Bdd& s) const;
 
+  /// Products taken since construction (thread-confined like the manager).
+  /// A run reports the difference over its own span.
+  [[nodiscard]] std::size_t imageOps() const { return imageOps_; }
+  [[nodiscard]] std::size_t preimageOps() const { return preimageOps_; }
+
   /// Restriction T | X: transitions of T that start and end in X
   /// (the projection delta_p|X of Section II).
   [[nodiscard]] bdd::Bdd restrictRel(const bdd::Bdd& t,
                                      const bdd::Bdd& x) const;
 
-  /// Source states having at least one outgoing transition in T.
+  /// Source states having at least one outgoing transition in T. Polls
+  /// the cancellation token but is not counted.
   [[nodiscard]] bdd::Bdd sources(const bdd::Bdd& t) const;
+
+  /// Target states having at least one incoming transition in T, over
+  /// current-state levels. Neither polls nor counts.
+  [[nodiscard]] bdd::Bdd targets(const bdd::Bdd& t) const;
 
   /// Deadlock states of relation T outside I: valid states in ¬I with no
   /// outgoing transition (Proposition II.1).
@@ -146,7 +162,31 @@ class SymbolicProtocol {
   // unreadable variables, then re-impose "unreadables unchanged".
   std::vector<bdd::Bdd> unreadCube_;
   std::vector<bdd::Bdd> unreadUnchanged_;
+
+  mutable std::size_t imageOps_ = 0;
+  mutable std::size_t preimageOps_ = 0;
 };
+
+/// A backward breadth-first search from a target set: the one BFS behind
+/// ComputeRanks (over p_im), the weak-convergence check and the worst-case
+/// recovery depth (over the checked relation).
+struct BfsLayers {
+  /// layers[0] is the target; layers[i] (i >= 1) holds the valid states
+  /// whose shortest path into the target takes i transitions. Every layer
+  /// after the first is non-empty. The search took layers.size() preimage
+  /// rounds, the last one finding nothing new.
+  std::vector<bdd::Bdd> layers;
+  /// Valid states with no path into the target.
+  bdd::Bdd unreachable;
+};
+
+/// Runs the BFS over relation `rel` from `target` (a set inside validCur).
+/// Each round takes the preimage of the whole explored set, not of the
+/// newest layer: both yield the same next layer, and the explored set is
+/// the better shaped operand (docs/architecture.md, "Fixpoint operands").
+[[nodiscard]] BfsLayers backwardBfs(const SymbolicProtocol& sp,
+                                    const bdd::Bdd& rel,
+                                    const bdd::Bdd& target);
 
 /// Compiles one guarded command of process j into its transition relation:
 /// guard(x) AND assigned next-values AND frame over unassigned variables,

@@ -21,10 +21,10 @@ struct Lockstep {
   Bdd converged;  // the search set that converged first (closed within V)
 };
 
-Lockstep lockstep(const ImageEngine& engine, const Bdd& v, const Bdd& pivot,
-                  std::size_t& steps) {
+Lockstep lockstep(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& v,
+                  const Bdd& pivot, std::size_t& steps) {
   // Both searches advance by the image of their newest layer, not of the
-  // reached set as computeRanks' BFS does. The swap is a measured loss here
+  // reached set as backwardBfs does. The swap is a measured loss here
   // (synth_scc, seed 22: bdd.unique_probes +9%, cache lookups +11%,
   // symbolic.scc_s up; EXPERIMENTS.md), and neutral in cycleCone.
   Bdd fwd = pivot;
@@ -33,9 +33,9 @@ Lockstep lockstep(const ImageEngine& engine, const Bdd& v, const Bdd& pivot,
   Bdd bFront = pivot;
 
   while (!fFront.isFalse() && !bFront.isFalse()) {
-    fFront = engine.image(fFront, v) & !fwd;
+    fFront = sp.image(rel, fFront) & v & !fwd;
     fwd |= fFront;
-    bFront = engine.preimage(bFront, v) & !bwd;
+    bFront = sp.preimage(rel, bFront) & v & !bwd;
     bwd |= bFront;
     steps += 2;
   }
@@ -45,7 +45,7 @@ Lockstep lockstep(const ImageEngine& engine, const Bdd& v, const Bdd& pivot,
     bwd &= fwd;
     bFront &= fwd;
     while (!bFront.isFalse()) {
-      bFront = engine.preimage(bFront, fwd) & !bwd;
+      bFront = sp.preimage(rel, bFront) & fwd & !bwd;
       bwd |= bFront;
       ++steps;
     }
@@ -54,7 +54,7 @@ Lockstep lockstep(const ImageEngine& engine, const Bdd& v, const Bdd& pivot,
   fwd &= bwd;
   fFront &= bwd;
   while (!fFront.isFalse()) {
-    fFront = engine.image(fFront, bwd) & !fwd;
+    fFront = sp.image(rel, fFront) & bwd & !fwd;
     fwd |= fFront;
     ++steps;
   }
@@ -63,39 +63,39 @@ Lockstep lockstep(const ImageEngine& engine, const Bdd& v, const Bdd& pivot,
 
 /// Does `scc` contain an internal transition? (Distinguishes a genuine
 /// cycle from a trivial single-state component.)
-bool hasInternalEdge(const ImageEngine& engine, const Bdd& scc) {
-  return !(engine.relation() & scc & engine.sp().onNext(scc)).isFalse();
+bool hasInternalEdge(const SymbolicProtocol& sp, const Bdd& rel,
+                     const Bdd& scc) {
+  return !(rel & scc & sp.onNext(scc)).isFalse();
 }
 
 /// Trims `domain` to its cycle core: repeatedly drop states with no
 /// successor or no predecessor inside the remaining set. Every non-trivial
 /// SCC survives, and on cycle-free graphs the core empties out in
-/// O(longest chain) rounds. The engine is re-restricted to the shrinking
+/// O(longest chain) rounds. The relation is re-restricted to the shrinking
 /// core so each round's operands keep getting smaller.
-Bdd trimToCore(const ImageEngine& engine, const Bdd& domain,
+Bdd trimToCore(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& domain,
                std::size_t& steps) {
-  ImageEngine r = engine.restricted(domain);
+  Bdd r = sp.restrictRel(rel, domain);
   Bdd core = domain;
   for (;;) {
-    const Bdd keep = core & r.sources() & r.targets();
+    const Bdd keep = core & sp.sources(r) & sp.targets(r);
     steps += 2;
     if (keep == core) return core;
     core = keep;
     if (core.isFalse()) return core;
-    r = r.restricted(core);
+    r = sp.restrictRel(r, core);
   }
 }
 
 }  // namespace
 
-SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain,
-                         const Bdd* seeds) {
-  const SymbolicProtocol& sp = engine.sp();
+SccResult nontrivialSccs(const SymbolicProtocol& sp, const Bdd& rel,
+                         const Bdd& domain, const Bdd* seeds) {
   obs::Span span("nontrivial_sccs", "scc");
   span.arg("seeded", seeds != nullptr);
   SccResult result;
   std::size_t dropped = 0;
-  const Bdd core = trimToCore(engine, domain, result.symbolicSteps);
+  const Bdd core = trimToCore(sp, rel, domain, result.symbolicSteps);
   if (!core.isFalse()) {
     std::vector<Bdd> work{core};
     while (!work.empty()) {
@@ -113,9 +113,9 @@ SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain,
         continue;
       }
       const Bdd pivot = sp.enc().stateBdd(sp.pickState(candidates));
-      const Lockstep ls = lockstep(engine, v, pivot, result.symbolicSteps);
+      const Lockstep ls = lockstep(sp, rel, v, pivot, result.symbolicSteps);
 
-      if (hasInternalEdge(engine, ls.scc)) {
+      if (hasInternalEdge(sp, rel, ls.scc)) {
         result.components.push_back(ls.scc);
       }
       // SCCs never straddle the converged set: recurse on both sides.
@@ -129,36 +129,35 @@ SccResult nontrivialSccs(const ImageEngine& engine, const Bdd& domain,
   return result;
 }
 
-bool hasCycle(const ImageEngine& engine, const Bdd& domain) {
+bool hasCycle(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& domain) {
   obs::Span span("has_cycle", "scc");
   // Self-loops are cycles.
-  const Bdd diag = domain & engine.sp().enc().diagonal();
-  if (!(engine.relation() & diag).isFalse()) {
+  const Bdd diag = domain & sp.enc().diagonal();
+  if (!(rel & diag).isFalse()) {
     span.arg("cyclic", true);
     return true;
   }
   // Otherwise a cycle exists iff the trimmed core is non-empty.
   std::size_t steps = 0;
-  const bool cyclic = !trimToCore(engine, domain, steps).isFalse();
+  const bool cyclic = !trimToCore(sp, rel, domain, steps).isFalse();
   span.arg("cyclic", cyclic);
   span.arg("symbolic_steps", steps);
   return cyclic;
 }
 
-Bdd cycleCone(const ImageEngine& combined, const Bdd& delta,
-              const Bdd& domain, std::size_t* steps) {
-  const SymbolicProtocol& sp = combined.sp();
+Bdd cycleCone(const SymbolicProtocol& sp, const Bdd& combined,
+              const Bdd& delta, const Bdd& domain, std::size_t* steps) {
   const Bdd inDomain = sp.restrictRel(delta, domain);
   if (inDomain.isFalse()) return inDomain;  // delta never re-enters domain
   const Bdd sources = sp.sources(inDomain);
-  const Bdd targets = sp.image(inDomain, domain);
+  const Bdd targets = sp.targets(inDomain);
   std::size_t rounds = 0;
 
   // Forward closure of the targets under base ∪ delta.
   Bdd fwd = targets;
   Bdd frontier = targets;
   while (!frontier.isFalse()) {
-    frontier = combined.image(frontier, domain) & !fwd;
+    frontier = sp.image(combined, frontier) & domain & !fwd;
     fwd |= frontier;
     ++rounds;
   }
@@ -167,7 +166,7 @@ Bdd cycleCone(const ImageEngine& combined, const Bdd& delta,
   Bdd cone = sources & fwd;
   frontier = cone;
   while (!frontier.isFalse()) {
-    frontier = combined.preimage(frontier, fwd) & !cone;
+    frontier = sp.preimage(combined, frontier) & fwd & !cone;
     cone |= frontier;
     ++rounds;
   }

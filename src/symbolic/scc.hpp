@@ -2,9 +2,9 @@
 //
 // The paper's Identify_Resolve_Cycles routine uses the symbolic SCC
 // algorithm of Gentilini et al. We implement the lockstep divide-and-conquer
-// scheme (Bloem/Gabow/Somenzi) on top of an ImageEngine — the protocol
-// relation with counted image/preimage products — with a cycle-core
-// trimming prepass.
+// scheme (Bloem/Gabow/Somenzi) over a relation and SymbolicProtocol's
+// counted, cancellable image/preimage products, with a cycle-core trimming
+// prepass.
 //
 // Lockstep is the only backend. The heuristic runs it on a cycle cone
 // (cycleCone below) with pivots seeded from the increment's sources: on
@@ -15,7 +15,6 @@
 
 #include <vector>
 
-#include "symbolic/frontier.hpp"
 #include "symbolic/relations.hpp"
 
 namespace stsyn::symbolic {
@@ -31,27 +30,27 @@ struct SccResult {
   std::size_t symbolicSteps = 0;
 };
 
-/// Computes the non-trivial SCCs of the engine's relation restricted to the
-/// state set `domain` (both endpoints inside `domain`). Products are
-/// accounted into the engine's (shared) counters.
+/// Computes the non-trivial SCCs of `rel` restricted to the state set
+/// `domain` (both endpoints inside `domain`).
 ///
 /// With `seeds`, every lockstep pivot is drawn from the seed states, and a
 /// work set holding no seed is dropped without a search. Precondition:
-/// `seeds` hits every non-trivial SCC of engine|domain — a component
-/// without a seed is silently missed. The heuristic's passes satisfy it
-/// with the sources of the increment's edges inside the cycle cone, since
-/// their base relation is acyclic and so every cycle takes an increment
-/// edge.
-[[nodiscard]] SccResult nontrivialSccs(const ImageEngine& engine,
+/// `seeds` hits every non-trivial SCC of rel|domain — a component without
+/// a seed is silently missed. The heuristic's passes satisfy it with the
+/// sources of the increment's edges inside the cycle cone, since their
+/// base relation is acyclic and so every cycle takes an increment edge.
+[[nodiscard]] SccResult nontrivialSccs(const SymbolicProtocol& sp,
+                                       const bdd::Bdd& rel,
                                        const bdd::Bdd& domain,
                                        const bdd::Bdd* seeds = nullptr);
 
-/// True iff the engine's relation restricted to `domain` contains a cycle —
-/// equivalent to nontrivialSccs(...).components being non-empty but cheaper
-/// when the caller only needs a yes/no answer.
-[[nodiscard]] bool hasCycle(const ImageEngine& engine, const bdd::Bdd& domain);
+/// True iff `rel` restricted to `domain` contains a cycle — equivalent to
+/// nontrivialSccs(...).components being non-empty but cheaper when the
+/// caller only needs a yes/no answer.
+[[nodiscard]] bool hasCycle(const SymbolicProtocol& sp, const bdd::Bdd& rel,
+                            const bdd::Bdd& domain);
 
-/// The cycle cone of an increment, over an engine holding base ∪ delta.
+/// The cycle cone of an increment delta of `combined` = base ∪ delta.
 /// Precondition: (combined \ delta) restricted to `domain` is acyclic, so
 /// every cycle of combined|domain passes through a delta edge and lies
 /// inside FW*(targets(delta)) ∩ BW*(sources(delta)) (both closures taken
@@ -64,7 +63,8 @@ struct SccResult {
 /// (coloring) skip SCC detection entirely, mirroring the paper's
 /// observation that coloring never forms SCCs. `steps` accumulates the
 /// image/preimage rounds spent.
-[[nodiscard]] bdd::Bdd cycleCone(const ImageEngine& combined,
+[[nodiscard]] bdd::Bdd cycleCone(const SymbolicProtocol& sp,
+                                 const bdd::Bdd& combined,
                                  const bdd::Bdd& delta,
                                  const bdd::Bdd& domain,
                                  std::size_t* steps = nullptr);

@@ -1,8 +1,10 @@
 // Cooperative cancellation with deadlines.
 //
 // A CancelToken is a flag plus an optional monotonic-clock deadline. Long
-// computations poll it at natural checkpoints — the image/preimage entry
-// points of symbolic::ImageEngine, the ranking BFS, and the heuristic's
+// computations poll it at natural checkpoints — every relational product
+// (symbolic::SymbolicProtocol::image / preimage) and sources(), which
+// covers the backward BFS of ranking and verification, SCC detection,
+// cycle cones and cycle extraction; the p_im build; and the heuristic's
 // per-process pass loops — and unwind with CancelledError the first time
 // it reports expiry. Polling sites never name a token directly: the
 // current token is installed per thread with a CancelScope, and

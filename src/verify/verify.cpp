@@ -28,20 +28,15 @@ Report check(const SymbolicProtocol& sp, const Bdd& rel) {
   r.deadlocks = sp.deadlocks(rel);
   r.deadlockFree = r.deadlocks.isFalse();
 
-  r.cycles = symbolic::nontrivialSccs(
-                 symbolic::ImageEngine(sp, sp.restrictRel(rel, notI)), notI)
-                 .components;
+  r.cycles =
+      symbolic::nontrivialSccs(sp, sp.restrictRel(rel, notI), notI).components;
   r.cycleFree = r.cycles.empty();
 
   // Weak convergence: every valid state is backward-reachable from I.
-  Bdd explored = inv;
-  for (;;) {
-    const Bdd frontier = sp.preimage(rel, explored) & valid & !explored;
-    if (frontier.isFalse()) break;
-    explored |= frontier;
-  }
-  r.weaklyUnreachable = valid & !explored;
+  const symbolic::BfsLayers bfs = symbolic::backwardBfs(sp, rel, inv);
+  r.weaklyUnreachable = bfs.unreachable;
   r.weaklyConverges = r.weaklyUnreachable.isFalse();
+  if (r.weaklyConverges) r.recoveryDepth = bfs.layers.size() - 1;
   return r;
 }
 

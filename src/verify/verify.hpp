@@ -34,9 +34,14 @@ struct Report {
   bdd::Bdd deadlocks;             ///< witnesses (empty iff deadlockFree)
   bdd::Bdd weaklyUnreachable;     ///< states with no path to I
   std::vector<bdd::Bdd> cycles;   ///< non-trivial SCCs of rel|¬I
+  /// Worst-case recovery distance: the maximum over states of the shortest
+  /// path length to I, a quality metric of a stabilizing relation.
+  /// SIZE_MAX when some state cannot reach I.
+  std::size_t recoveryDepth = SIZE_MAX;
 };
 
-/// Full verification of `rel` against sp's invariant.
+/// Full verification of `rel` against sp's invariant. Weak convergence and
+/// the recovery depth come from one symbolic::backwardBfs from I.
 [[nodiscard]] Report check(const symbolic::SymbolicProtocol& sp,
                            const bdd::Bdd& rel);
 

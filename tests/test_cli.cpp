@@ -4,6 +4,10 @@
 // with, and the driver's deadline conversion.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -11,6 +15,7 @@
 #include "casestudies/token_ring.hpp"
 #include "cli/driver.hpp"
 #include "cli/options.hpp"
+#include "lang/parser.hpp"
 #include "lang/printer.hpp"
 #include "obs/json.hpp"
 
@@ -147,6 +152,45 @@ TEST(ParseArgs, ServeSubcommand) {
   EXPECT_EQ(parse({"serve", "p.stsyn"}, opt), 2);
 }
 
+TEST(ParseArgs, UsageNamesEveryAcceptedFlag) {
+  // The flags parseArgs compares against are the string literals in its
+  // source that start with "--"; each must be accepted (not reported as
+  // unknown) and named in the usage text.
+  std::ifstream in(STSYN_OPTIONS_SOURCE);
+  ASSERT_TRUE(in) << STSYN_OPTIONS_SOURCE;
+  const std::string source((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+  std::ostringstream usageText;
+  (void)cli::usage(usageText);
+  const std::regex flagLiteral("\"(--[a-z-]+=?)\"");
+  std::set<std::string> flags;
+  for (auto it = std::sregex_iterator(source.begin(), source.end(),
+                                      flagLiteral);
+       it != std::sregex_iterator(); ++it) {
+    flags.insert((*it)[1].str());
+  }
+  EXPECT_GE(flags.size(), 25u);
+  for (const std::string& flag : flags) {
+    EXPECT_NE(usageText.str().find(flag), std::string::npos)
+        << flag << " is missing from the usage text";
+    cli::Options opt;
+    std::string err;
+    const std::string arg = flag.back() == '=' ? flag + "text" : flag;
+    (void)parse({"p.stsyn", arg.c_str(), "1"}, opt, &err);
+    EXPECT_EQ(err.find("unknown option"), std::string::npos) << err;
+  }
+}
+
+TEST(ParseArgs, ScheduleConflictsWithPortfolio) {
+  cli::Options opt;
+  std::string err;
+  EXPECT_EQ(parse({"p.stsyn", "--portfolio", "2", "--schedule", "P1,P0"},
+                  opt, &err),
+            2);
+  EXPECT_EQ(err.rfind("stsyn: --schedule conflicts with --portfolio", 0), 0u)
+      << err;
+}
+
 TEST(ParseArgs, ConflictingAndUnknownFlags) {
   cli::Options opt;
   EXPECT_EQ(parse({"p.stsyn", "--weak", "--verify"}, opt), 2);
@@ -185,6 +229,26 @@ TEST(Driver, DeadlineConvertsToReportNotException) {
   if (r.deadlineExceeded) {
     EXPECT_EQ(r.exitCode, 1);
     EXPECT_EQ(timedReport.failure, "deadline exceeded");
+  }
+}
+
+TEST(Driver, PortfolioHonoursMaxPassAndNoGreedy) {
+  // token_ring4 needs pass 2 under every schedule, so with --max-pass 1
+  // the portfolio must fail just as the single run does.
+  const protocol::Protocol p =
+      lang::parseProtocolFile(STSYN_PROTOCOL_DIR "/token_ring4.stsyn");
+  cli::Options opt;
+  opt.quiet = true;
+  opt.strong.maxPass = 1;
+  for (const unsigned portfolio : {0u, 1u}) {
+    opt.portfolio = portfolio;
+    cli::Report report;
+    std::ostringstream console;
+    const cli::RunOutcome r =
+        cli::runProtocol(p, opt, report, console, console);
+    EXPECT_EQ(r.exitCode, 1) << "portfolio " << portfolio << "\n"
+                             << console.str();
+    EXPECT_FALSE(report.success);
   }
 }
 

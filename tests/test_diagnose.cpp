@@ -1,9 +1,11 @@
-// Tests for the failure-diagnosis module and the recovery-depth metric.
+// Tests for the failure-diagnosis module and the recovery-depth metric
+// (verify::Report::recoveryDepth).
 #include <gtest/gtest.h>
 
 #include "protocol/builder.hpp"
 #include "casestudies/token_ring.hpp"
 #include "core/diagnose.hpp"
+#include "verify/verify.hpp"
 
 namespace {
 
@@ -82,7 +84,8 @@ TEST(Diagnose, RecoveryDepthOfDijkstraRing) {
   const protocol::Protocol p = casestudies::dijkstraTokenRing(4, 4);
   symbolic::Encoding enc(p);
   symbolic::SymbolicProtocol sp(enc);
-  const std::size_t depth = core::recoveryDepth(sp, sp.protocolRelation());
+  const std::size_t depth =
+      verify::check(sp, sp.protocolRelation()).recoveryDepth;
   EXPECT_NE(depth, SIZE_MAX);
   EXPECT_GE(depth, 1u);
   EXPECT_LE(depth, 16u);  // coarse sanity: bounded by |S| / locality
@@ -93,7 +96,7 @@ TEST(Diagnose, RecoveryDepthDetectsNonConvergence) {
   symbolic::Encoding enc(p);
   symbolic::SymbolicProtocol sp(enc);
   // The non-stabilizing input cannot recover from everywhere.
-  EXPECT_EQ(core::recoveryDepth(sp, sp.protocolRelation()), SIZE_MAX);
+  EXPECT_EQ(verify::check(sp, sp.protocolRelation()).recoveryDepth, SIZE_MAX);
 }
 
 TEST(Diagnose, RecoveryDepthMatchesRankBoundOnSynthesized) {
@@ -106,7 +109,7 @@ TEST(Diagnose, RecoveryDepthMatchesRankBoundOnSynthesized) {
   opt.schedule = core::rotatedSchedule(4, 1);
   const core::StrongResult r = core::addStrongConvergence(sp, opt);
   ASSERT_TRUE(r.success);
-  const std::size_t depth = core::recoveryDepth(sp, r.relation);
+  const std::size_t depth = verify::check(sp, r.relation).recoveryDepth;
   EXPECT_NE(depth, SIZE_MAX);
   EXPECT_GE(depth, r.ranking.maxRank());
 }

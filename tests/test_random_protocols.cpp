@@ -23,7 +23,6 @@
 #include "explicitstate/synthesis.hpp"
 #include "explicitstate/verify.hpp"
 #include "symbolic/decode.hpp"
-#include "symbolic/frontier.hpp"
 #include "util/rng.hpp"
 #include "verify/verify.hpp"
 
@@ -242,10 +241,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AnalysisParity,
                          ::testing::Range<std::uint64_t>(0, 12));
 
 // ---------------------------------------------------------------------------
-// Image-engine reference: every engine product must equal the plain
-// SymbolicProtocol product on the same relation, BDD for BDD — including
-// restricted copies (the SCC trim loop's shape) and grown engines (the
-// synthesis hot loop's shape).
+// Image-layer reference: SymbolicProtocol's counted products must equal
+// their spelled-out formulas BDD for BDD, on the whole relation and on a
+// restricted one (the SCC trim loop's shape), and each product must count
+// exactly once. (The suite is named for the engine class that used to wrap
+// these products.)
 // ---------------------------------------------------------------------------
 
 class ImageEngineReference
@@ -258,41 +258,42 @@ TEST_P(ImageEngineReference, ProductsAgreeBddForBdd) {
     symbolic::Encoding enc(p);
     symbolic::SymbolicProtocol sp(enc);
     // Random protocols carry no actions of their own (recovery is what
-    // gets synthesized), so run the engine over the candidate relations.
-    // The last process's candidates arrive through grow().
-    const std::size_t last = sp.processCount() - 1;
-    bdd::Bdd base = enc.manager().falseBdd();
-    for (std::size_t j = 0; j < last; ++j) base |= sp.candidates(j);
-    const bdd::Bdd delta = sp.candidates(last);
-    const bdd::Bdd rel = base | delta;
-    symbolic::ImageEngine engine(sp, base);
-    engine.grow(delta);
+    // gets synthesized), so run the products over the candidate relations.
+    bdd::Bdd rel = enc.manager().falseBdd();
+    for (std::size_t j = 0; j < sp.processCount(); ++j) {
+      rel |= sp.candidates(j);
+    }
     const std::string where = "seed " + std::to_string(GetParam()) +
                               " instance " + std::to_string(instance);
-    ASSERT_EQ(engine.relation(), rel) << where;
-    EXPECT_EQ(engine.sources(), sp.sources(rel)) << where;
-    EXPECT_EQ(engine.targets(), enc.nextToCur(rel.exists(enc.curCube())))
+    EXPECT_EQ(sp.sources(rel), rel.exists(enc.nextCube())) << where;
+    EXPECT_EQ(sp.targets(rel), enc.nextToCur(rel.exists(enc.curCube())))
         << where;
 
     const bdd::Bdd inv = sp.invariant();
     const bdd::Bdd valid = sp.enc().validCur();
     const bdd::Bdd notI = valid & !inv;
-    const symbolic::ImageEngine restricted = engine.restricted(notI);
     const bdd::Bdd restrictedRel = sp.restrictRel(rel, notI);
-    EXPECT_EQ(restricted.relation(), restrictedRel) << where;
+    EXPECT_EQ(restrictedRel, rel & notI & enc.curToNext(notI)) << where;
     const std::vector<bdd::Bdd> sets{enc.manager().falseBdd(), valid, inv,
                                      notI, sp.image(rel, inv),
                                      sp.preimage(rel, notI)};
+    const std::size_t images0 = sp.imageOps();
+    const std::size_t preimages0 = sp.preimageOps();
     for (const bdd::Bdd& s : sets) {
-      EXPECT_EQ(engine.image(s), sp.image(rel, s)) << where;
-      EXPECT_EQ(engine.preimage(s), sp.preimage(rel, s)) << where;
-      EXPECT_EQ(engine.image(s, notI), sp.image(rel, s) & notI) << where;
-      EXPECT_EQ(engine.preimage(s, notI), sp.preimage(rel, s) & notI)
+      EXPECT_EQ(sp.image(rel, s),
+                enc.nextToCur((rel & s).exists(enc.curCube())))
           << where;
-      EXPECT_EQ(restricted.image(s), sp.image(restrictedRel, s)) << where;
-      EXPECT_EQ(restricted.preimage(s), sp.preimage(restrictedRel, s))
+      EXPECT_EQ(sp.preimage(rel, s),
+                (rel & enc.curToNext(s)).exists(enc.nextCube()))
+          << where;
+      EXPECT_EQ(sp.image(restrictedRel, s), sp.image(rel, s & notI) & notI)
+          << where;
+      EXPECT_EQ(sp.preimage(restrictedRel, s),
+                sp.preimage(rel, s & notI) & notI)
           << where;
     }
+    EXPECT_EQ(sp.imageOps() - images0, 3 * sets.size()) << where;
+    EXPECT_EQ(sp.preimageOps() - preimages0, 3 * sets.size()) << where;
   }
 }
 

@@ -19,7 +19,6 @@ namespace {
 using namespace stsyn;
 using bdd::Bdd;
 using symbolic::Encoding;
-using symbolic::ImageEngine;
 using symbolic::SymbolicProtocol;
 
 /// Canonical form of an SCC partition: sorted list of sorted state lists.
@@ -65,12 +64,11 @@ TEST(SymbolicScc, HandBuiltComponents) {
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> edges{
       {0, 1}, {1, 2}, {2, 3}, {3, 1}, {3, 4}, {4, 5}, {5, 6}, {6, 5}, {7, 7}};
   const Bdd rel = relationOf(enc, sp, edges);
-  const auto result =
-      symbolic::nontrivialSccs(ImageEngine(sp, rel), enc.validCur());
+  const auto result = symbolic::nontrivialSccs(sp, rel, enc.validCur());
   EXPECT_EQ(canonical(enc, result.components),
             (std::vector<std::vector<std::uint64_t>>{
                 {1, 2, 3}, {5, 6}, {7}}));
-  EXPECT_TRUE(symbolic::hasCycle(ImageEngine(sp, rel), enc.validCur()));
+  EXPECT_TRUE(symbolic::hasCycle(sp, rel, enc.validCur()));
 }
 
 TEST(SymbolicScc, AcyclicGraphHasNoComponents) {
@@ -80,9 +78,9 @@ TEST(SymbolicScc, AcyclicGraphHasNoComponents) {
   const std::vector<std::pair<std::uint64_t, std::uint64_t>> edges{
       {0, 1}, {1, 2}, {2, 3}, {0, 3}, {3, 4}, {4, 7}};
   const Bdd rel = relationOf(enc, sp, edges);
-  EXPECT_TRUE(symbolic::nontrivialSccs(ImageEngine(sp, rel), enc.validCur())
+  EXPECT_TRUE(symbolic::nontrivialSccs(sp, rel, enc.validCur())
                   .components.empty());
-  EXPECT_FALSE(symbolic::hasCycle(ImageEngine(sp, rel), enc.validCur()));
+  EXPECT_FALSE(symbolic::hasCycle(sp, rel, enc.validCur()));
 }
 
 TEST(SymbolicScc, DomainRestrictionBreaksCycles) {
@@ -94,7 +92,7 @@ TEST(SymbolicScc, DomainRestrictionBreaksCycles) {
   const Bdd rel = relationOf(enc, sp, edges);
   const Bdd domain =
       enc.validCur() & !enc.stateBdd(std::vector<int>{1});  // drop state 1
-  const auto result = symbolic::nontrivialSccs(ImageEngine(sp, rel), domain);
+  const auto result = symbolic::nontrivialSccs(sp, rel, domain);
   EXPECT_EQ(canonical(enc, result.components),
             (std::vector<std::vector<std::uint64_t>>{{2, 3}}));
 }
@@ -117,8 +115,7 @@ TEST_P(SymbolicSccRandom, AgreesWithTarjanOnRandomGraphs) {
 
   const Bdd rel = relationOf(enc, sp, edges);
   const auto symbolicSccs =
-      canonical(enc, symbolic::nontrivialSccs(ImageEngine(sp, rel),
-                                              enc.validCur())
+      canonical(enc, symbolic::nontrivialSccs(sp, rel, enc.validCur())
                          .components);
 
   std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
@@ -129,7 +126,7 @@ TEST_P(SymbolicSccRandom, AgreesWithTarjanOnRandomGraphs) {
       canonicalExplicit(explicitstate::nontrivialSccs(ts, all));
 
   EXPECT_EQ(symbolicSccs, tarjanSccs) << "seed " << GetParam();
-  EXPECT_EQ(symbolic::hasCycle(ImageEngine(sp, rel), enc.validCur()),
+  EXPECT_EQ(symbolic::hasCycle(sp, rel, enc.validCur()),
             !tarjanSccs.empty());
 }
 
@@ -152,7 +149,7 @@ TEST(SymbolicScc, MatchingRecoveryCyclesMatchTarjan) {
   rel = sp.restrictRel(rel, notI);
 
   const auto symbolicSccs = canonical(
-      enc, symbolic::nontrivialSccs(ImageEngine(sp, rel), notI).components);
+      enc, symbolic::nontrivialSccs(sp, rel, notI).components);
 
   const explicitstate::StateSpace space(p);
   std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>> edges;
@@ -187,8 +184,8 @@ TEST(SymbolicScc, TokenRingPaperCycleIsFound) {
   }
   const Bdd rel = sp.protocolRelation() | (recovery & enc.validCur());
   const Bdd notI = enc.validCur() & !sp.invariant();
-  const auto result = symbolic::nontrivialSccs(
-      ImageEngine(sp, sp.restrictRel(rel, notI)), notI);
+  const auto result =
+      symbolic::nontrivialSccs(sp, sp.restrictRel(rel, notI), notI);
   ASSERT_FALSE(result.components.empty());
   const Bdd paperState = enc.stateBdd(std::vector<int>{1, 2, 1, 0});
   bool found = false;
@@ -198,11 +195,10 @@ TEST(SymbolicScc, TokenRingPaperCycleIsFound) {
   EXPECT_TRUE(found) << "paper's cycle state <1,2,1,0> not in any SCC";
 }
 
-/// cycleCone over base ∪ delta (a monolithic engine, as in diagnose).
+/// cycleCone over base ∪ delta (as in diagnose).
 Bdd coneOf(const SymbolicProtocol& sp, const Bdd& base, const Bdd& delta,
            const Bdd& domain) {
-  return symbolic::cycleCone(ImageEngine(sp, base | delta), delta,
-                             domain);
+  return symbolic::cycleCone(sp, base | delta, delta, domain);
 }
 
 TEST(IncrementalAcyclicity, CertainlyAcyclicWhenConeStaysClear) {
@@ -234,7 +230,7 @@ TEST(IncrementalAcyclicity, InconclusiveWhenDeltaClosesACycle) {
   EXPECT_FALSE(cone.isFalse());
   // And the full check agrees there IS a cycle.
   EXPECT_TRUE(
-      symbolic::hasCycle(ImageEngine(sp, base | delta), enc.validCur()));
+      symbolic::hasCycle(sp, base | delta, enc.validCur()));
   // The cone is exactly the closed cycle.
   EXPECT_EQ(symbolic::decodeStates(enc, cone),
             (std::vector<std::uint64_t>{1, 2, 3}));
@@ -259,12 +255,12 @@ TEST(IncrementalAcyclicity, ConservativeOnNearMisses) {
   const Bdd cone = coneOf(sp, base, delta, enc.validCur());
   EXPECT_FALSE(cone.isFalse());
   EXPECT_FALSE(
-      symbolic::hasCycle(ImageEngine(sp, base | delta), enc.validCur()));
+      symbolic::hasCycle(sp, base | delta, enc.validCur()));
   // The cone is the path 1 -> 2 -> 3, whose cycle core is empty.
   EXPECT_EQ(symbolic::decodeStates(enc, cone),
             (std::vector<std::uint64_t>{1, 2, 3}));
-  EXPECT_FALSE(symbolic::hasCycle(ImageEngine(sp, base | delta), cone));
-  EXPECT_TRUE(symbolic::nontrivialSccs(ImageEngine(sp, base | delta), cone)
+  EXPECT_FALSE(symbolic::hasCycle(sp, base | delta, cone));
+  EXPECT_TRUE(symbolic::nontrivialSccs(sp, base | delta, cone)
                   .components.empty());
 }
 
@@ -311,18 +307,18 @@ TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
   }
   const Bdd base = relationOf(enc, sp, baseEdges);
   const Bdd delta = relationOf(enc, sp, deltaEdges);
-  ASSERT_FALSE(symbolic::hasCycle(ImageEngine(sp, base), enc.validCur()));
+  ASSERT_FALSE(symbolic::hasCycle(sp, base, enc.validCur()));
 
-  const ImageEngine combined(sp, base | delta);
+  const Bdd combined = base | delta;
   std::size_t steps = 0;
   const Bdd cone =
-      symbolic::cycleCone(combined, delta, enc.validCur(), &steps);
-  const auto coneSccs =
-      canonical(enc, symbolic::nontrivialSccs(combined, cone).components);
+      symbolic::cycleCone(sp, combined, delta, enc.validCur(), &steps);
+  const auto coneSccs = canonical(
+      enc, symbolic::nontrivialSccs(sp, combined, cone).components);
   // The seeds the heuristic passes: every cycle takes a delta edge.
   const Bdd seeds = sp.sources(sp.restrictRel(delta, cone));
   const auto seededSccs = canonical(
-      enc, symbolic::nontrivialSccs(combined, cone, &seeds).components);
+      enc, symbolic::nontrivialSccs(sp, combined, cone, &seeds).components);
 
   std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
       explicitEdges(baseEdges.begin(), baseEdges.end());
@@ -335,7 +331,7 @@ TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
 
   EXPECT_EQ(coneSccs, tarjanSccs) << "seed " << GetParam();
   EXPECT_EQ(seededSccs, tarjanSccs) << "seed " << GetParam();
-  EXPECT_EQ(symbolic::hasCycle(combined, cone), !tarjanSccs.empty())
+  EXPECT_EQ(symbolic::hasCycle(sp, combined, cone), !tarjanSccs.empty())
       << "seed " << GetParam();
   // Wrong seeds must show: without its seeds a component goes unfound.
   for (const auto& component : tarjanSccs) {
@@ -346,9 +342,11 @@ TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
     const Bdd missing = seeds.minus(states);
     auto others = tarjanSccs;
     std::erase(others, component);
-    EXPECT_EQ(canonical(enc, symbolic::nontrivialSccs(combined, cone, &missing)
-                                 .components),
-              others)
+    EXPECT_EQ(
+        canonical(enc,
+                  symbolic::nontrivialSccs(sp, combined, cone, &missing)
+                      .components),
+        others)
         << "seed " << GetParam();
   }
   // An empty cone certifies acyclicity. With one delta edge u -> v the

@@ -369,6 +369,29 @@ TEST(ServeV2, BadIdShapesAreRejected) {
   EXPECT_EQ(pong.find("verb")->str, "pong");
 }
 
+TEST(ServeV2, PortfolioForwardsPassOptionsAndRejectsSchedule) {
+  RunningServer rs(smallServer());
+  PipelinedClient c(rs.port());
+  ASSERT_TRUE(c.connected());
+  const std::string ring = tokenRingSource(4, 3);
+
+  // Each portfolio instance runs its own schedule, so a schedule with it
+  // is refused by name rather than ignored.
+  c.send(synthesizeRequest(ring, -1,
+                           R"({"portfolio":1,"schedule":"P1,P2,P3,P0"})"));
+  auto conflict = parsed(c.receive());
+  EXPECT_FALSE(conflict.find("ok")->boolean);
+  EXPECT_EQ(conflict.find("kind")->str, "invalid_request");
+  EXPECT_EQ(conflict.find("error")->str.rfind("schedule conflicts with", 0),
+            0u);
+
+  // max_pass reaches every instance: token_ring(4,3) needs pass 2.
+  c.send(synthesizeRequest(ring, -1, R"({"portfolio":1,"max_pass":1})"));
+  auto capped = parsed(c.receive());
+  ASSERT_TRUE(capped.find("ok")->boolean);
+  EXPECT_FALSE(capped.find("result")->find("success")->boolean);
+}
+
 TEST(ServeV2, ErrorResponsesEchoTheRequestId) {
   RunningServer rs(smallServer());
   PipelinedClient c(rs.port());

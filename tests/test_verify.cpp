@@ -3,6 +3,7 @@
 
 #include "casestudies/matching.hpp"
 #include "casestudies/token_ring.hpp"
+#include "util/cancel.hpp"
 #include "verify/counterexample.hpp"
 #include "verify/verify.hpp"
 
@@ -79,6 +80,32 @@ TEST(Verify, GoudaAcharyaPrintedActionsBreakClosure) {
   const SymbolicProtocol sp(enc);
   const verify::Report r = verify::check(sp, sp.protocolRelation());
   EXPECT_FALSE(r.closed);
+}
+
+TEST(Verify, CancelledTokenStopsCycleExtractionAndTheBfs) {
+  // Verification polls the caller's deadline at every product: an
+  // already-cancelled token stops extractCycle at its first image, and the
+  // backward BFS behind verify::check at its first preimage.
+  const protocol::Protocol p = casestudies::matchingGoudaAcharyaAsPrinted(5);
+  const Encoding enc(p);
+  const SymbolicProtocol sp(enc);
+  const Bdd rel = sp.protocolRelation();
+  const verify::Report r = verify::check(sp, rel);
+  ASSERT_FALSE(r.cycles.empty());
+  std::vector<Bdd> perProcess;
+  for (std::size_t j = 0; j < sp.processCount(); ++j) {
+    perProcess.push_back(sp.processRelation(j));
+  }
+
+  util::CancelToken token;
+  token.cancel();
+  const util::CancelScope scope(&token);
+  EXPECT_THROW((void)verify::extractCycle(sp, rel, r.cycles.front(),
+                                          perProcess),
+               util::CancelledError);
+  EXPECT_THROW((void)symbolic::backwardBfs(sp, rel, sp.invariant()),
+               util::CancelledError);
+  EXPECT_THROW((void)verify::check(sp, rel), util::CancelledError);
 }
 
 TEST(Verify, GoudaAcharyaRepairedIsClosedButNotConvergent) {
