@@ -3,18 +3,15 @@
 //
 // Every study synthesizes once per mode (addStrongConvergence, default
 // options). The BDD layout does not change what the heuristic decides
-// (the static-order differential wall and the STSYN_REORDER=1 suite check
+// (the layout differential wall and the STSYN_REORDER=1 suite check
 // this), so only the time/space trajectory differs. Each mode sets the
-// var-order seed, the sifting switch and the GC threshold itself, so the
+// input order, the sifting switch and the GC threshold itself, so the
 // environment (STSYN_REORDER) cannot change what a mode measures:
 //
 //   declared           declaration order, no sifting, default GC;
-//   static             --var-order=static (reverse Cuthill–McKee over the
-//                      ordering graph, analysis::staticVarOrder);
 //   shuffled_declared  the same protocol with its variable declarations
 //                      scrambled by a fixed shuffle (a hostile input
-//                      order), declared seed;
-//   shuffled_static    the scrambled declaration under the static seed;
+//                      order), no sifting;
 //   dealt_fixed        a deliberately bad order installed up front: the
 //                      (current, next) pair blocks dealt round-robin from
 //                      the two halves of the layout, so neighbouring
@@ -24,12 +21,8 @@
 //                      collects often, so peak_reachable_nodes (sampled
 //                      only at GC) tracks the live function store.
 //
-// The hand-written studies declare their variables in ring order, which
-// is already locality-optimal, so the static order must never have more
-// peak live nodes than the declared one; on General topologies (two_ring's
-// cross-coupled rings) the static seed keeps the declaration. The bench
-// prints that acceptance line as measured, and the peak reduction sifting
-// buys back from the dealt order on each study.
+// The bench prints the peak reduction sifting buys back from the dealt
+// order on each study.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -59,22 +52,17 @@ constexpr std::size_t kDenseThreshold = std::size_t{1} << 11;
 struct Mode {
   const char* name;
   bool shuffledInput;
-  symbolic::VarOrder order;
   bool dealt;
   bool sifting;
   std::size_t gcThreshold;  ///< 0 keeps the manager's default (the CLI's)
 };
 
 const Mode kModes[] = {
-    {"declared", false, symbolic::VarOrder::Declared, false, false, 0},
-    {"static", false, symbolic::VarOrder::Static, false, false, 0},
-    {"shuffled_declared", true, symbolic::VarOrder::Declared, false, false,
-     0},
-    {"shuffled_static", true, symbolic::VarOrder::Static, false, false, 0},
-    {"dealt_fixed", false, symbolic::VarOrder::Declared, true, false, 0},
-    {"dealt_sifting", false, symbolic::VarOrder::Declared, true, true, 0},
-    {"dense_gc", false, symbolic::VarOrder::Declared, false, false,
-     kDenseThreshold},
+    {"declared", false, false, false, 0},
+    {"shuffled_declared", true, false, false, 0},
+    {"dealt_fixed", false, true, false, 0},
+    {"dealt_sifting", false, true, true, 0},
+    {"dense_gc", false, false, false, kDenseThreshold},
 };
 
 struct Study {
@@ -132,9 +120,7 @@ void runPoint(benchmark::State& state, const Study& study, const Mode& mode) {
   const protocol::Protocol p =
       mode.shuffledInput ? shuffled(declared) : declared;
   for (auto _ : state) {
-    symbolic::EncodingOptions opts;
-    opts.varOrder = mode.order;
-    symbolic::Encoding enc(p, opts);
+    symbolic::Encoding enc(p);
     bdd::Manager& m = enc.manager();
     if (mode.dealt) m.setLevelOrder(dealtPairOrder(enc));
     m.enableAutoReorder(mode.sifting);
@@ -204,23 +190,6 @@ void printSummary() {
                           util::Table::cell(s.gcRuns) + " GCs)";
                  });
 
-  std::string worse;
-  std::size_t compared = 0;
-  for (const Study& study : kStudies) {
-    const core::SynthesisStats* d = find(study, "declared");
-    const core::SynthesisStats* s = find(study, "static");
-    if (d == nullptr || s == nullptr) continue;
-    ++compared;
-    if (s->peakLiveNodes > d->peakLiveNodes) {
-      worse += std::string(" ") + study.label + " (static " +
-               util::Table::cell(s->peakLiveNodes) + " > declared " +
-               util::Table::cell(d->peakLiveNodes) + ")";
-    }
-  }
-  if (compared > 0) {
-    std::printf("acceptance (static <= declared on every study): %s%s\n",
-                worse.empty() ? "ok" : "FAILED:", worse.c_str());
-  }
   for (const Study& study : kStudies) {
     const core::SynthesisStats* fixed = find(study, "dealt_fixed");
     const core::SynthesisStats* sifted = find(study, "dealt_sifting");

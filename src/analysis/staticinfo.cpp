@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <queue>
 #include <set>
 #include <tuple>
 
@@ -11,126 +10,6 @@ namespace stsyn::analysis {
 using protocol::Expr;
 using protocol::Protocol;
 using protocol::VarId;
-
-namespace {
-
-void sortUnique(std::vector<std::size_t>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
-}  // namespace
-
-std::size_t CommGraph::procEdgeCount() const {
-  std::size_t twice = 0;
-  for (const auto& adj : procAdj) twice += adj.size();
-  return twice / 2;
-}
-
-CommGraph buildCommGraph(const Protocol& p) {
-  CommGraph g;
-  const std::size_t nv = p.vars.size();
-  const std::size_t np = p.processes.size();
-  g.readersOf.resize(nv);
-  g.writersOf.resize(nv);
-  g.varAdj.resize(nv);
-  g.procAdj.resize(np);
-
-  for (std::size_t j = 0; j < np; ++j) {
-    const protocol::Process& pr = p.processes[j];
-    // Lenient-parse protocols can carry out-of-range ids; drop them here so
-    // the pass never indexes past the variable table.
-    for (const VarId v : pr.reads) {
-      if (v < nv) g.readersOf[v].push_back(j);
-    }
-    for (const VarId v : pr.writes) {
-      if (v < nv) g.writersOf[v].push_back(j);
-    }
-    for (const VarId u : pr.reads) {
-      if (u >= nv) continue;
-      for (const VarId v : pr.reads) {
-        if (v < nv && v != u) g.varAdj[u].push_back(v);
-      }
-    }
-  }
-  for (auto& adj : g.varAdj) sortUnique(adj);
-
-  // Processes communicate through a variable one of them writes: for each
-  // variable, every writer is adjacent to every other reader.
-  for (VarId v = 0; v < nv; ++v) {
-    for (const std::size_t w : g.writersOf[v]) {
-      for (const std::size_t r : g.readersOf[v]) {
-        if (r != w) {
-          g.procAdj[w].push_back(r);
-          g.procAdj[r].push_back(w);
-        }
-      }
-    }
-  }
-  for (auto& adj : g.procAdj) sortUnique(adj);
-  return g;
-}
-
-const char* toString(Topology t) {
-  switch (t) {
-    case Topology::Empty: return "empty";
-    case Topology::SingleProcess: return "single-process";
-    case Topology::Ring: return "ring";
-    case Topology::Line: return "line";
-    case Topology::Star: return "star";
-    case Topology::Tree: return "tree";
-    case Topology::General: return "general";
-  }
-  return "?";
-}
-
-Topology classifyTopology(const CommGraph& g, std::size_t processCount) {
-  const std::size_t n = processCount;
-  if (n == 0) return Topology::Empty;
-  if (n == 1) return Topology::SingleProcess;
-
-  // Connectivity via BFS from process 0.
-  std::vector<bool> seen(n, false);
-  std::queue<std::size_t> q;
-  q.push(0);
-  seen[0] = true;
-  std::size_t reached = 1;
-  while (!q.empty()) {
-    const std::size_t j = q.front();
-    q.pop();
-    for (const std::size_t k : g.procAdj[j]) {
-      if (!seen[k]) {
-        seen[k] = true;
-        ++reached;
-        q.push(k);
-      }
-    }
-  }
-  if (reached != n) return Topology::General;
-
-  const std::size_t edges = g.procEdgeCount();
-  std::size_t deg1 = 0;
-  std::size_t deg2 = 0;
-  std::size_t maxDeg = 0;
-  for (const auto& adj : g.procAdj) {
-    deg1 += adj.size() == 1 ? 1 : 0;
-    deg2 += adj.size() == 2 ? 1 : 0;
-    maxDeg = std::max(maxDeg, adj.size());
-  }
-
-  if (edges == n && deg2 == n) return Topology::Ring;  // n >= 3 by degree sum
-  if (edges == n - 1) {
-    // Connected and acyclic: a tree. Specialize the two common shapes.
-    if (deg1 == 2 && deg2 == n - 2) return Topology::Line;
-    if (n >= 3 && maxDeg == n - 1 && deg1 == n - 1) return Topology::Star;
-    return Topology::Tree;
-  }
-  return Topology::General;
-}
-
-// ---------------------------------------------------------------------------
-// Process symmetry orbits.
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -315,14 +194,25 @@ std::string canonicalShape(const Protocol& p, std::size_t j,
 
 }  // namespace
 
-ProcessOrbits computeOrbits(const Protocol& p, const CommGraph& g) {
+ProcessOrbits computeOrbits(const Protocol& p) {
   std::set<VarId> invSupport;
   if (p.invariant) protocol::collectSupport(*p.invariant, invSupport);
 
-  std::vector<VarAttr> attrOf(p.vars.size());
-  for (VarId v = 0; v < p.vars.size(); ++v) {
-    attrOf[v] = VarAttr{p.vars[v].domain, g.readersOf[v].size(),
-                        g.writersOf[v].size(), invSupport.contains(v)};
+  const std::size_t nv = p.vars.size();
+  std::vector<VarAttr> attrOf(nv);
+  for (VarId v = 0; v < nv; ++v) {
+    attrOf[v].domain = p.vars[v].domain;
+    attrOf[v].inInvariant = invSupport.contains(v);
+  }
+  // Lenient-parse protocols can carry out-of-range ids; skip them so the
+  // pass never indexes past the variable table.
+  for (const protocol::Process& pr : p.processes) {
+    for (const VarId v : pr.reads) {
+      if (v < nv) ++attrOf[v].readers;
+    }
+    for (const VarId v : pr.writes) {
+      if (v < nv) ++attrOf[v].writers;
+    }
   }
 
   ProcessOrbits out;
@@ -337,183 +227,6 @@ ProcessOrbits computeOrbits(const Protocol& p, const CommGraph& g) {
     out.orbitOf[j] = it->second;
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// Static variable order (reverse Cuthill–McKee).
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Adds +1 to every unordered support pair of each comparison node in a
-/// bool-valued expression. The invariant compiles to one BDD conjunct per
-/// comparison, so the variables inside a comparison chain (a0 == a1,
-/// a1 == a2, ...) must sit close together in the layout just as co-read
-/// variables must; a variable compared only against constants contributes
-/// no pairs.
-void addComparisonPairs(const protocol::Expr& e, std::size_t nVars,
-                        std::map<std::pair<VarId, VarId>, std::size_t>& w) {
-  using K = protocol::Expr::Kind;
-  switch (e.kind) {
-    case K::Eq:
-    case K::Ne:
-    case K::Lt:
-    case K::Le:
-    case K::Gt:
-    case K::Ge: {
-      std::set<VarId> support;
-      protocol::collectSupport(e, support);
-      for (auto a = support.begin(); a != support.end(); ++a) {
-        for (auto b = std::next(a); b != support.end(); ++b) {
-          if (*a < nVars && *b < nVars) w[{*a, *b}] += 1;
-        }
-      }
-      return;
-    }
-    default:
-      for (const protocol::ExprPtr& arg : e.args) {
-        if (arg) addComparisonPairs(*arg, nVars, w);
-      }
-      return;
-  }
-}
-
-/// Edge weights the layout minimizes over: w(u, v) = number of processes
-/// reading both u and v (the CommGraph::varAdj edge set), plus the number
-/// of invariant comparisons whose support contains both. Both kinds of
-/// pair become conjoined BDDs during synthesis, so both reward adjacency.
-std::map<std::pair<VarId, VarId>, std::size_t> orderingWeights(
-    const Protocol& p) {
-  std::map<std::pair<VarId, VarId>, std::size_t> w;
-  for (const protocol::Process& pr : p.processes) {
-    for (std::size_t a = 0; a < pr.reads.size(); ++a) {
-      for (std::size_t b = a + 1; b < pr.reads.size(); ++b) {
-        const VarId u = pr.reads[a];
-        const VarId v = pr.reads[b];
-        if (u < p.vars.size() && v < p.vars.size() && u != v) {
-          w[{std::min(u, v), std::max(u, v)}] += 1;
-        }
-      }
-    }
-  }
-  if (p.invariant) addComparisonPairs(*p.invariant, p.vars.size(), w);
-  return w;
-}
-
-std::vector<VarId> reverseCuthillMcKee(
-    const Protocol& p,
-    const std::map<std::pair<VarId, VarId>, std::size_t>& weights) {
-  const std::size_t n = p.vars.size();
-  std::vector<std::vector<VarId>> adj(n);
-  for (const auto& [edge, weight] : weights) {
-    adj[edge.first].push_back(edge.second);
-    adj[edge.second].push_back(edge.first);
-  }
-  auto degree = [&](VarId v) { return adj[v].size(); };
-
-  std::vector<VarId> order;
-  order.reserve(n);
-  std::vector<bool> seen(n, false);
-  for (;;) {
-    // Component seed: unvisited vertex of minimum (degree, id) — the
-    // classic low-degree peripheral start.
-    VarId seed = n;
-    for (VarId v = 0; v < n; ++v) {
-      if (!seen[v] && (seed == n || degree(v) < degree(seed))) seed = v;
-    }
-    if (seed == n) break;
-    seen[seed] = true;
-    std::queue<VarId> q;
-    q.push(seed);
-    while (!q.empty()) {
-      const VarId u = q.front();
-      q.pop();
-      order.push_back(u);
-      std::vector<VarId> next;
-      for (const VarId v : adj[u]) {
-        if (!seen[v]) next.push_back(v);
-      }
-      std::sort(next.begin(), next.end(), [&](VarId a, VarId b) {
-        return std::make_pair(degree(a), a) < std::make_pair(degree(b), b);
-      });
-      for (const VarId v : next) {
-        seen[v] = true;
-        q.push(v);
-      }
-    }
-  }
-  std::reverse(order.begin(), order.end());
-  return order;
-}
-
-}  // namespace
-
-std::size_t layoutCost(const Protocol& p, std::span<const VarId> layout) {
-  std::vector<std::size_t> pos(p.vars.size(), 0);
-  for (std::size_t i = 0; i < layout.size(); ++i) pos[layout[i]] = i;
-  std::size_t cost = 0;
-  for (const auto& [edge, weight] : orderingWeights(p)) {
-    const std::size_t a = pos[edge.first];
-    const std::size_t b = pos[edge.second];
-    cost += weight * (a > b ? a - b : b - a);
-  }
-  return cost;
-}
-
-std::vector<VarId> staticVarOrder(const Protocol& p) {
-  std::vector<VarId> declared(p.vars.size());
-  for (VarId v = 0; v < p.vars.size(); ++v) declared[v] = v;
-  if (p.vars.size() <= 2) return declared;
-
-  // Only override the declared order on the sparse process topologies
-  // RCM's banded-matrix heritage was built for. On dense communication
-  // structures (the two-ring's cross-coupled cliques classify General)
-  // the edge-length model stops predicting BDD peak — measured peaks on
-  // two_ring(4) sit within 0.15% of each other across every layout with
-  // the declared order ahead — so the declaration stands.
-  const CommGraph g = buildCommGraph(p);
-  const Topology topo = classifyTopology(g, p.processes.size());
-  if (topo == Topology::General) return declared;
-
-  // Two RCM candidates: one over the sparse communication graph (the
-  // protocol's read topology — where RCM's banded-matrix heritage works
-  // best), one over the full ordering graph including invariant
-  // comparison edges (which can be near-complete when the invariant
-  // pivots every variable on one, as the token ring's wavefront does,
-  // and then degenerates RCM — but captures chain structure the read
-  // topology misses, as in the two-ring's per-ring equality chains).
-  const std::map<std::pair<VarId, VarId>, std::size_t> full =
-      orderingWeights(p);
-  std::map<std::pair<VarId, VarId>, std::size_t> reads;
-  for (VarId u = 0; u < p.vars.size(); ++u) {
-    for (const VarId v : g.varAdj[u]) {
-      if (u < v) reads[{u, v}] = 1;
-    }
-  }
-  // All candidates are scored under the full cost model. Ties keep the
-  // earlier candidate, declared first: a protocol whose declaration
-  // already has ring locality (all four case studies) keeps its layout
-  // bit-for-bit.
-  std::vector<VarId> best = declared;
-  std::size_t bestCost = layoutCost(p, best);
-  for (const auto& weights : {reads, full}) {
-    const std::vector<VarId> rcm = reverseCuthillMcKee(p, weights);
-    const std::size_t cost = layoutCost(p, rcm);
-    if (cost < bestCost) {
-      best = rcm;
-      bestCost = cost;
-    }
-  }
-  return best;
-}
-
-StaticInfo analyzeProtocol(const Protocol& p) {
-  StaticInfo info;
-  info.graph = buildCommGraph(p);
-  info.topology = classifyTopology(info.graph, p.processes.size());
-  info.orbits = computeOrbits(p, info.graph);
-  info.varOrder = staticVarOrder(p);
-  return info;
 }
 
 std::vector<std::size_t> scheduleOrbitSignature(

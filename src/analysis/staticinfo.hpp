@@ -1,78 +1,24 @@
-// BDD-free static analysis of a protocol's communication structure.
+// BDD-free process symmetry orbits.
 //
 // The paper's read/write restrictions (the topology T_p) are pure static
-// structure, but historically we only consumed them at BDD-compile time.
-// This pass computes, without ever touching a Manager:
+// structure. This pass computes, without ever touching a Manager, the
+// process symmetry orbits: canonical-form hashing of each process's
+// guarded commands up to a variable renaming consistent with the local
+// read/write structure (see computeOrbits for the exact equivalence and
+// its limits).
 //
-//   * the communication graph — which processes read/write which
-//     variables, plus the induced variable- and process-adjacency graphs;
-//   * a topology classification (ring / line / star / tree / general) of
-//     the process graph, via degree sequence + cycle check;
-//   * process symmetry orbits — canonical-form hashing of each process's
-//     guarded commands up to a variable renaming consistent with the
-//     local read/write structure (see computeOrbits for the exact
-//     equivalence and its limits);
-//   * a locality-seeking variable order (reverse Cuthill–McKee over the
-//     co-read adjacency plus invariant comparison edges, gated to the
-//     sparse topologies RCM is built for) used by symbolic::Encoding
-//     behind --var-order=static.
-//
-// Consumers: Encoding (variable layout seed), synthesizePortfolio
-// (orbit-based schedule deduplication), and the abstract lint tier's
-// sibling machinery in analysis/absint.hpp.
+// Consumers: synthesizePortfolio (orbit-based schedule deduplication) and
+// the serve daemon's cache key (the orbit shapes as a semantic
+// fingerprint of the protocol).
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "protocol/protocol.hpp"
 
 namespace stsyn::analysis {
-
-/// The bipartite process-variable structure plus its two projections.
-/// All adjacency lists are sorted and duplicate-free; self-edges are
-/// excluded from procAdj/varAdj (a process always "communicates with
-/// itself" through its own written variables, which carries no ordering
-/// or symmetry information).
-struct CommGraph {
-  /// Per variable: processes that read / write it (ascending ids).
-  std::vector<std::vector<std::size_t>> readersOf;
-  std::vector<std::vector<std::size_t>> writersOf;
-
-  /// Per variable: other variables co-read by at least one process. Each
-  /// process's read set forms a clique — the locality the BDD variable
-  /// order wants to preserve.
-  std::vector<std::vector<protocol::VarId>> varAdj;
-
-  /// Per process: other processes sharing at least one variable that one
-  /// of the two writes (i.e. genuine communication, not mere co-reading).
-  std::vector<std::vector<std::size_t>> procAdj;
-
-  /// Number of undirected edges in procAdj.
-  [[nodiscard]] std::size_t procEdgeCount() const;
-};
-
-[[nodiscard]] CommGraph buildCommGraph(const protocol::Protocol& p);
-
-/// Shape of the process communication graph. Classification ignores
-/// directionality (who writes vs. who reads) and looks at the undirected
-/// procAdj only.
-enum class Topology {
-  Empty,          ///< no processes
-  SingleProcess,  ///< exactly one process
-  Ring,           ///< connected, every degree 2 (n >= 3)
-  Line,           ///< a path: two endpoints of degree 1, rest degree 2
-  Star,           ///< one hub of degree n-1, n-1 leaves (n >= 3)
-  Tree,           ///< connected and acyclic, but neither line nor star
-  General,        ///< anything else (disconnected, or has chords)
-};
-
-[[nodiscard]] const char* toString(Topology t);
-
-[[nodiscard]] Topology classifyTopology(const CommGraph& g,
-                                        std::size_t processCount);
 
 /// Partition of the processes into local-shape equivalence classes.
 ///
@@ -94,40 +40,7 @@ struct ProcessOrbits {
   std::vector<std::string> shapes;
 };
 
-[[nodiscard]] ProcessOrbits computeOrbits(const protocol::Protocol& p,
-                                          const CommGraph& g);
-
-/// A variable layout (position -> VarId) chosen by static analysis:
-/// reverse Cuthill–McKee over the ordering graph (co-read pairs plus
-/// invariant comparison pairs), seeded per component at a minimum-degree
-/// vertex. The declared order is always a candidate; the returned order
-/// is whichever minimizes the weighted edge-length cost model (ties
-/// prefer the declared order, so protocols that already declare their
-/// variables in ring order keep their layout bit-for-bit). On General
-/// process topologies — dense communication structures outside RCM's
-/// banded-matrix domain, where the edge-length model stops tracking BDD
-/// peak — the declared order is returned unconditionally.
-[[nodiscard]] std::vector<protocol::VarId> staticVarOrder(
-    const protocol::Protocol& p);
-
-/// Total weighted edge length of a layout: sum over variable pairs of
-/// w(u, v) * |pos(u) - pos(v)|, where w counts the processes reading
-/// both u and v plus the invariant comparisons whose support contains
-/// both. Co-read pairs meet in image computations and comparison pairs
-/// meet in the invariant's conjuncts, so both reward adjacent placement.
-/// The quantity staticVarOrder minimizes.
-[[nodiscard]] std::size_t layoutCost(const protocol::Protocol& p,
-                                     std::span<const protocol::VarId> layout);
-
-/// Everything above in one pass.
-struct StaticInfo {
-  CommGraph graph;
-  Topology topology = Topology::Empty;
-  ProcessOrbits orbits;
-  std::vector<protocol::VarId> varOrder;
-};
-
-[[nodiscard]] StaticInfo analyzeProtocol(const protocol::Protocol& p);
+[[nodiscard]] ProcessOrbits computeOrbits(const protocol::Protocol& p);
 
 /// Orbit signature of a process permutation: the schedule with each
 /// process replaced by its orbit id. Two schedules with equal signatures

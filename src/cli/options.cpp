@@ -22,8 +22,8 @@ std::optional<std::uint64_t> parseUint(std::string_view s,
 int usage(std::ostream& err) {
   err << "usage: stsyn <protocol.stsyn> [--weak | --verify]"
          " [--schedule P1,P0,... | --portfolio N [--orbit-prune]]"
-         " [--max-pass N] [--no-greedy] [--var-order declared|static]"
-         " [--timeout MS] [--explain] [--print] [--quiet]"
+         " [--max-pass N] [--no-greedy] [--timeout MS]"
+         " [--explain] [--print] [--quiet]"
          " [--output FILE] [--stats-json FILE] [--trace FILE]\n"
          "       stsyn lint <protocol.stsyn> [--werror] [--no-symbolic]"
          " [--format=sarif|text]   (or: stsyn <protocol.stsyn> --lint ...)\n"
@@ -61,7 +61,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
 
   const char* path = nullptr;
   unsigned portfolio = 0;
-  std::string varOrderArg;
   bool weak = false;
   bool verifyOnly = false;
 
@@ -116,8 +115,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       out.explain = true;
     } else if (valueFlag("--schedule")) {
       out.scheduleArg = argv[++i];
-    } else if (valueFlag("--var-order")) {
-      varOrderArg = argv[++i];
     } else if (!std::strcmp(a, "--orbit-prune")) {
       out.orbitPrune = true;
     } else if (valueFlag("--output")) {
@@ -204,15 +201,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
   }
 
   out.portfolio = portfolio;
-  if (!varOrderArg.empty()) {
-    const auto parsed = symbolic::parseVarOrder(varOrderArg);
-    if (!parsed.has_value()) {
-      err << "stsyn: unknown --var-order '" << varOrderArg
-          << "' (expected declared|static)\n";
-      return 2;
-    }
-    out.encoding.varOrder = *parsed;
-  }
   if (out.orbitPrune && portfolio == 0) {
     err << "stsyn: --orbit-prune requires --portfolio\n";
     return 2;

@@ -17,7 +17,6 @@
 
 #include "analysis/lint.hpp"
 #include "core/heuristic.hpp"
-#include "symbolic/encoding.hpp"
 
 namespace stsyn::cli {
 
@@ -57,7 +56,6 @@ struct Options {
 
   // Synthesis.
   core::StrongOptions strong;
-  symbolic::EncodingOptions encoding;
   unsigned portfolio = 0;
   bool orbitPrune = false;
   bool explain = false;

@@ -56,7 +56,9 @@ class Synthesizer {
   /// has outside I. Groups whose members start in I cannot be removed
   /// (that would change delta_p|I) — fail. Other participating groups are
   /// removed; Problem III.1 only freezes delta_pss|I, and the resulting
-  /// deadlocks are the passes' job to resolve.
+  /// deadlocks are the passes' job to resolve. On success pss|¬I is
+  /// acyclic: every edge inside every component is gone, and a cycle of
+  /// the smaller relation would lie inside one of them.
   /// Detection scans all of ¬I here: the passes' acyclicity invariant that
   /// lets them restrict it to a cycle cone does not hold yet.
   /// Runs before any recovery is added, so pss is still p.
@@ -81,12 +83,6 @@ class Synthesizer {
     for (const Bdd& r : proc) pss_ |= r;
     deadlocks_ = computeDeadlocks();
     return true;
-  }
-
-  /// Does pss restricted to ¬I still contain a cycle? (The already-stable
-  /// early exit of addStrongConvergence.)
-  [[nodiscard]] bool hasCycleOutsideInvariant() const {
-    return symbolic::hasCycle(sp_, pss_, notI_);
   }
 
   /// Greedy cycle resolution (the implementation's "pass 4", see
@@ -250,7 +246,6 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
     throw std::invalid_argument("addStrongConvergence: maxPass must be 1..3");
   }
 
-  out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
   const std::size_t imageOps0 = sp.imageOps();
   const std::size_t preimageOps0 = sp.preimageOps();
 
@@ -283,8 +278,9 @@ StrongResult addStrongConvergence(const SymbolicProtocol& sp,
   if (!syn.removePreexistingCycles()) {
     return finish(false, Failure::PreexistingCycleUnremovable);
   }
-  if (syn.deadlocks().isFalse() && !syn.hasCycleOutsideInvariant()) {
-    // Already strongly converging (e.g. re-running on a stabilizing input).
+  if (syn.deadlocks().isFalse()) {
+    // Already strongly converging (e.g. re-running on a stabilizing input):
+    // no deadlocks, and pss|¬I is acyclic after the step above.
     out.stats.passCompleted = 0;
     return finish(true, Failure::None);
   }

@@ -34,9 +34,7 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
   std::vector<std::size_t> fallback;
   upfront.reserve(total);
   if (options.orbitPrune) {
-    const analysis::CommGraph graph = analysis::buildCommGraph(proto);
-    const analysis::ProcessOrbits orbits =
-        analysis::computeOrbits(proto, graph);
+    const analysis::ProcessOrbits orbits = analysis::computeOrbits(proto);
     out.symmetryOrbits = orbits.orbitCount;
     const std::vector<std::size_t> reps =
         analysis::scheduleRepresentatives(orbits, schedules);
@@ -111,8 +109,7 @@ PortfolioResult synthesizePortfolio(const protocol::Protocol& proto,
         obs::Span span("portfolio_instance", "portfolio");
         span.arg("schedule", toString(inst.schedule));
         const util::Stopwatch watch;
-        inst.encoding =
-            std::make_unique<symbolic::Encoding>(proto, options.encoding);
+        inst.encoding = std::make_unique<symbolic::Encoding>(proto);
         inst.symbolic =
             std::make_unique<symbolic::SymbolicProtocol>(*inst.encoding);
         StrongOptions opt = options.strong;

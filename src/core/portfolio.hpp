@@ -76,8 +76,6 @@ struct PortfolioResult {
 struct PortfolioOptions {
   /// Worker threads (0 = hardware concurrency).
   unsigned threads = 0;
-  /// Encoding seed (variable order) every instance is built with.
-  symbolic::EncodingOptions encoding;
   /// Heuristic options every instance runs with (--max-pass, --no-greedy);
   /// each instance replaces `schedule` with its own.
   StrongOptions strong;

@@ -68,7 +68,6 @@ void SynthesisStats::writeJson(obs::JsonWriter& w) const {
   w.field("cache_stores", static_cast<std::uint64_t>(cacheStores));
   w.field("unique_probes", static_cast<std::uint64_t>(uniqueProbes));
   w.field("pass_completed", passCompleted);
-  w.field("var_order", varOrder);
   w.field("image_ops", static_cast<std::uint64_t>(imageOps));
   w.field("preimage_ops", static_cast<std::uint64_t>(preimageOps));
   w.field("frontier_steps", static_cast<std::uint64_t>(frontierSteps));

@@ -32,7 +32,10 @@ namespace stsyn::core {
 /// v5: bench records carry this struct's writeJson object under `stats`;
 /// their record-level copies of eight of its values are gone (see
 /// docs/observability.md).
-inline constexpr int kStatsJsonSchemaVersion = 5;
+/// v6: the key naming the encoding's variable-order seed is gone with the
+/// seed: every encoding lays its variables out in declaration order (see
+/// docs/observability.md).
+inline constexpr int kStatsJsonSchemaVersion = 6;
 
 struct SynthesisStats {
   double rankingSeconds = 0.0;
@@ -71,10 +74,6 @@ struct SynthesisStats {
   /// 4 is the implementation's greedy cycle-resolution pass, 0 means the
   /// input needed no recovery.
   int passCompleted = 0;
-
-  /// Variable-order seed of the encoding the run synthesized against
-  /// ("declared" or "static"; empty when the run predates the setting).
-  std::string varOrder;
 
   /// SymbolicProtocol::image / preimage products taken during this run
   /// (the difference of the protocol's counters over the run).

@@ -7,7 +7,6 @@ namespace stsyn::core {
 WeakResult addWeakConvergence(const symbolic::SymbolicProtocol& sp) {
   WeakResult out;
   util::Stopwatch total;
-  out.stats.varOrder = symbolic::toString(sp.enc().varOrder());
   const std::size_t preimageOps0 = sp.preimageOps();
   out.ranking = computeRanks(sp, &out.stats);  // takes no image products
   out.stats.preimageOps = sp.preimageOps() - preimageOps0;

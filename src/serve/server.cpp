@@ -128,17 +128,6 @@ bool applyRequestOptions(const obs::JsonValue& opts, cli::Options& o,
         return false;
       }
       portfolio = static_cast<unsigned>(n);
-    } else if (key == "var_order") {
-      if (value.kind != obs::JsonValue::Kind::String) {
-        error = "var_order must be a string";
-        return false;
-      }
-      const auto parsed = symbolic::parseVarOrder(value.str);
-      if (!parsed.has_value()) {
-        error = "unknown var_order '" + value.str + "'";
-        return false;
-      }
-      o.encoding.varOrder = *parsed;
     } else if (key == "orbit_prune") {
       if (!getBool(value, b)) {
         error = "orbit_prune must be a boolean";
@@ -226,7 +215,6 @@ std::string optionsFingerprint(const cli::Options& o) {
   key << "schema=" << core::kStatsJsonSchemaVersion
       << ";mode=" << static_cast<int>(o.mode) << ";maxPass=" << o.strong.maxPass
       << ";greedy=" << o.strong.greedyCycleResolution
-      << ";varOrder=" << static_cast<int>(o.encoding.varOrder)
       << ";portfolio=" << o.portfolio << ";orbitPrune=" << o.orbitPrune
       << ";schedule=" << o.scheduleArg;
   return key.str();
@@ -239,8 +227,7 @@ std::string canonicalKey(const protocol::Protocol& p,
                          const cli::Options& opt) {
   std::string key = lang::printProtocol(p);
   key += "\n--orbits--\n";
-  const analysis::ProcessOrbits orbits =
-      analysis::computeOrbits(p, analysis::buildCommGraph(p));
+  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
   for (const std::string& shape : orbits.shapes) {
     key += shape;
     key += '\n';

@@ -6,8 +6,6 @@
 #include <utility>
 #include <stdexcept>
 
-#include "analysis/staticinfo.hpp"
-
 namespace stsyn::symbolic {
 
 using bdd::Bdd;
@@ -22,24 +20,7 @@ int bitsForDomain(int d) {
 }
 }  // namespace
 
-const char* toString(VarOrder order) {
-  switch (order) {
-    case VarOrder::Declared:
-      return "declared";
-    case VarOrder::Static:
-      return "static";
-  }
-  return "?";
-}
-
-std::optional<VarOrder> parseVarOrder(std::string_view name) {
-  if (name == "declared") return VarOrder::Declared;
-  if (name == "static") return VarOrder::Static;
-  return std::nullopt;
-}
-
-Encoding::Encoding(protocol::Protocol proto, const EncodingOptions& options)
-    : proto_(std::move(proto)), varOrder_(options.varOrder) {
+Encoding::Encoding(protocol::Protocol proto) : proto_(std::move(proto)) {
   protocol::validate(proto_);
 
   const std::size_t n = proto_.vars.size();
@@ -47,25 +28,18 @@ Encoding::Encoding(protocol::Protocol proto, const EncodingOptions& options)
   curLevels_.resize(n);
   nextLevels_.resize(n);
 
-  if (varOrder_ == VarOrder::Static) {
-    layout_ = analysis::staticVarOrder(proto_);
-  } else {
-    layout_.resize(n);
-    for (VarId v = 0; v < n; ++v) layout_[v] = v;
-  }
-
-  // Levels are assigned walking the seed layout, so position in layout_
-  // equals position in the initial level order. Everything downstream
-  // indexes through curLevels_/nextLevels_ (never assumes VarId order),
-  // and the few enumeration helpers that need a fixed walk (decodeCur,
-  // allCurLevels) use the layout.
+  // Levels are assigned in VarId order, which keeps allCur_/allNext_
+  // ascending as forEachSat requires. Everything else indexes through
+  // curLevels_/nextLevels_, since dynamic reordering moves the levels.
   Var level = 0;
-  for (const VarId v : layout_) {
+  for (VarId v = 0; v < n; ++v) {
     bits_[v] = bitsForDomain(proto_.vars[v].domain);
     for (int k = 0; k < bits_[v]; ++k) {
       curLevels_[v].push_back(level++);
       nextLevels_[v].push_back(level++);
       bitPairs_.emplace_back(curLevels_[v][k], nextLevels_[v][k]);
+      allCur_.push_back(curLevels_[v][k]);
+      allNext_.push_back(nextLevels_[v][k]);
     }
   }
   mgr_ = std::make_unique<bdd::Manager>(level);
@@ -87,13 +61,6 @@ Encoding::Encoding(protocol::Protocol proto, const EncodingOptions& options)
     mgr_->enableAutoReorder();
   }
 
-  // Layout order keeps these ascending, which forEachSat requires.
-  for (const VarId v : layout_) {
-    for (int k = 0; k < bits_[v]; ++k) {
-      allCur_.push_back(curLevels_[v][k]);
-      allNext_.push_back(nextLevels_[v][k]);
-    }
-  }
   allLevels_.resize(level);
   for (Var l = 0; l < level; ++l) allLevels_[l] = l;
 
@@ -236,8 +203,8 @@ std::vector<int> Encoding::decodeCur(std::span<const char> bits) const {
   assert(bits.size() == allCur_.size());
   std::vector<int> state(proto_.vars.size());
   std::size_t pos = 0;
-  // bits is aligned with allCurLevels(), which walks the seed layout.
-  for (const VarId v : layout_) {
+  // bits is aligned with allCurLevels(), which walks VarId order.
+  for (VarId v = 0; v < proto_.vars.size(); ++v) {
     int val = 0;
     for (int k = 0; k < bits_[v]; ++k, ++pos) {
       val |= (bits[pos] ? 1 : 0) << k;

@@ -2,21 +2,19 @@
 //
 // Each protocol variable of domain size d occupies ceil(log2 d) boolean
 // variables, twice: a current-state copy x and a next-state copy x'. The
-// copies are interleaved bit-by-bit and variables are laid out either in
-// declaration order (the default; the paper's ring protocols declare
-// their variables in ring order, which is exactly the locality the BDDs
-// need) or in the static order computed by analysis::staticVarOrder
-// (reverse Cuthill–McKee over the communication graph — recovers that
-// locality when the declaration order lacks it). Dynamic reordering, when
-// enabled, runs on top of either seed.
+// copies are interleaved bit-by-bit and variables are laid out in
+// declaration order (the paper's ring protocols declare their variables
+// in ring order, which is exactly the locality the BDDs need). Dynamic
+// reordering (grouped sifting, STSYN_REORDER=1) is the one way to improve
+// that layout, as it is CUDD's in the paper's STSyn.
 //
 // Invalid binary codes (values >= d) are excluded by validCur()/validNext();
 // every state predicate and transition relation in this repository is kept
 // inside those predicates.
 #pragma once
 
-#include <string_view>
-#include <optional>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "bdd/bdd.hpp"
@@ -24,42 +22,15 @@
 
 namespace stsyn::symbolic {
 
-/// Which seed layout the encoding assigns BDD levels from.
-enum class VarOrder {
-  /// Declaration order (the historical layout).
-  Declared,
-  /// analysis::staticVarOrder — reverse Cuthill–McKee over the variable
-  /// co-read adjacency, falling back to declared on ties (so protocols
-  /// already declared in locality order keep their layout bit-for-bit).
-  Static,
-};
-
-[[nodiscard]] const char* toString(VarOrder order);
-
-/// Parses "declared" / "static"; nullopt on anything else.
-[[nodiscard]] std::optional<VarOrder> parseVarOrder(std::string_view name);
-
-struct EncodingOptions {
-  VarOrder varOrder = VarOrder::Declared;
-};
-
 class Encoding {
  public:
   /// Builds the encoding and allocates a dedicated BDD manager. The
   /// protocol is copied (cheap: expression trees are shared), so
   /// temporaries are safe to pass.
-  explicit Encoding(protocol::Protocol proto,
-                    const EncodingOptions& options = {});
+  explicit Encoding(protocol::Protocol proto);
 
   [[nodiscard]] bdd::Manager& manager() const { return *mgr_; }
   [[nodiscard]] const protocol::Protocol& proto() const { return proto_; }
-
-  /// The seed order this encoding was built with.
-  [[nodiscard]] VarOrder varOrder() const { return varOrder_; }
-  /// The seed layout: position -> VarId (identity under Declared).
-  [[nodiscard]] const std::vector<protocol::VarId>& layout() const {
-    return layout_;
-  }
 
   /// Number of bits used by protocol variable v.
   [[nodiscard]] int bitsOf(protocol::VarId v) const { return bits_[v]; }
@@ -74,7 +45,7 @@ class Encoding {
   }
 
   /// The interleaved (current, next) bit pairs, one per encoded bit, in
-  /// layout order. Registered with the manager as atomic reorder groups:
+  /// initial level order. Registered with the manager as atomic reorder groups:
   /// dynamic reordering moves a pair as one block, so the cur<->next
   /// renaming permutations stay order-preserving under any reorder.
   [[nodiscard]] const std::vector<std::pair<bdd::Var, bdd::Var>>& bitPairs()
@@ -152,8 +123,6 @@ class Encoding {
  private:
   protocol::Protocol proto_;
   std::unique_ptr<bdd::Manager> mgr_;
-  VarOrder varOrder_ = VarOrder::Declared;
-  std::vector<protocol::VarId> layout_;
 
   std::vector<int> bits_;
   std::vector<std::vector<bdd::Var>> curLevels_;

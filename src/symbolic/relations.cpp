@@ -192,7 +192,7 @@ std::vector<int> SymbolicProtocol::pickState(const Bdd& s) const {
   // successively restricting to the smallest feasible value per variable.
   // Unlike onePath() (which depends on the level order), this choice is
   // identical under every variable layout, so SCC pivots and the greedy
-  // pass's picks do not drift when --var-order changes the seed.
+  // pass's picks do not drift when sifting reorders the levels mid-run.
   Bdd rest = s;
   std::vector<int> state(enc_.proto().vars.size());
   for (protocol::VarId v = 0; v < enc_.proto().vars.size(); ++v) {

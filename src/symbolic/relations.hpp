@@ -132,7 +132,7 @@ class SymbolicProtocol {
   /// A canonical representative state of a non-empty predicate: the
   /// VarId-lexicographically smallest member. Independent of the BDD
   /// variable layout, so heuristic tie-breaks (SCC pivots, greedy pass
-  /// picks) agree across --var-order seeds.
+  /// picks) do not move when dynamic reordering sifts the levels.
   [[nodiscard]] std::vector<int> pickState(const bdd::Bdd& s) const;
 
   /// A canonical representative transition of a non-empty relation:

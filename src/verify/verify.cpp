@@ -28,8 +28,25 @@ Report check(const SymbolicProtocol& sp, const Bdd& rel) {
   r.deadlocks = sp.deadlocks(rel);
   r.deadlockFree = r.deadlocks.isFalse();
 
-  r.cycles =
-      symbolic::nontrivialSccs(sp, sp.restrictRel(rel, notI), notI).components;
+  // The SCC search runs only outside AF(I), the least fixpoint
+  // must = I ∪ (¬I ∧ sources(rel) ∧ ¬preimage(rel, ¬must)) of states whose
+  // every path reaches I. Every non-trivial SCC of rel|¬I, and the whole
+  // trimmed core of ¬I, lies in the rest, so trimming the rest reaches the
+  // same core and lockstep returns the same components in the same order;
+  // on a convergent relation the rest is empty and the search is skipped.
+  const Bdd stepsOut = notI & sp.sources(rel);
+  Bdd must = inv;
+  for (;;) {
+    const Bdd next = inv | (stepsOut & !sp.preimage(rel, valid & !must));
+    if (next == must) break;
+    must = next;
+  }
+  const Bdd rest = valid & !must;
+  if (!rest.isFalse()) {
+    r.cycles =
+        symbolic::nontrivialSccs(sp, sp.restrictRel(rel, rest), rest)
+            .components;
+  }
   r.cycleFree = r.cycles.empty();
 
   // Weak convergence: every valid state is backward-reachable from I.

@@ -381,7 +381,7 @@ TEST(BddSerialize, ComplementedFunctionsRoundTripAndShareTheTable) {
   // root signs: the v2 writer must emit identical rows for both, and the
   // loader must restore the relationship exactly.
   Manager m(6);
-  const Bdd f = (m.var(0) & m.var(3)) ^ (!m.var(1) | m.var(5));
+  const Bdd f = (m.var(0) & m.var(3)) ^ ((!m.var(1)) | m.var(5));
   const Bdd nf = !f;
 
   std::stringstream bufF;

@@ -370,13 +370,14 @@ TEST(StatsJson, WriteJsonRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(doc->find("image_ops")->number, 11.0);
   EXPECT_DOUBLE_EQ(doc->find("preimage_ops")->number, 13.0);
   EXPECT_DOUBLE_EQ(doc->find("frontier_steps")->number, 6.0);
-  // v3 dropped the parallel image pool's keys, v4 the image policy's.
+  // v3 dropped the parallel image pool's keys, v4 the image policy's, v6
+  // the variable-order seed's.
   for (const char* removed :
        {"image_workers", "transfer_nodes", "reduce_depth", "image_policy",
-        "image_part_products"}) {
+        "image_part_products", "var_order"}) {
     EXPECT_EQ(doc->find(removed), nullptr) << removed;
   }
-  EXPECT_EQ(core::kStatsJsonSchemaVersion, 5);
+  EXPECT_EQ(core::kStatsJsonSchemaVersion, 6);
 }
 
 // The human-readable summary is consumed by eyeballs and by the existing

@@ -322,8 +322,7 @@ TEST(Portfolio, OrbitPruningMatchesStaticAnalysisRepresentatives) {
   // schedules of analysis::scheduleRepresentatives.
   const protocol::Protocol p = casestudies::tokenRing(4, 3);
   const std::vector<Schedule> schedules = core::allSchedules(4);
-  const analysis::ProcessOrbits orbits =
-      analysis::computeOrbits(p, analysis::buildCommGraph(p));
+  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
   const std::vector<std::size_t> reps =
       analysis::scheduleRepresentatives(orbits, schedules);
 

@@ -301,14 +301,104 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ImageEngineReference,
                          ::testing::Range<std::uint64_t>(0, 24));
 
 // ---------------------------------------------------------------------------
-// Variable-order differential testing: the static RCM layout changes the
-// BDD level assignment only — synthesis outcomes, passes, and the decoded
-// programs must match the declared order exactly.
+// Layout differential testing: the BDD level order changes node counts
+// only — synthesis outcomes, passes, and the decoded programs must match
+// the declared layout exactly, also when sifting moves the levels
+// mid-run, and so must the --verify witnesses of both relations.
+// This is what keeps pickState/pickTransition honest.
 // ---------------------------------------------------------------------------
 
-class VarOrderDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+/// The interleaved (cur, next) pair blocks dealt round-robin from the two
+/// halves of the layout (pair order 0, P/2, 1, P/2+1, ...), the same
+/// deliberately bad order bench/ablation_encoding installs. Every pair
+/// stays adjacent, so the cur<->next renamings stay order-preserving.
+std::vector<bdd::Var> dealtPairOrder(const symbolic::Encoding& enc) {
+  const auto& pairs = enc.bitPairs();
+  const std::size_t half = (pairs.size() + 1) / 2;
+  std::vector<bdd::Var> order;
+  order.reserve(2 * pairs.size());
+  for (std::size_t i = 0; i < half; ++i) {
+    for (const std::size_t p : {i, half + i}) {
+      if (p >= pairs.size()) continue;
+      order.push_back(pairs[p].first);
+      order.push_back(pairs[p].second);
+    }
+  }
+  return order;
+}
 
-TEST_P(VarOrderDifferential, StaticOrderSynthesisIdenticalToDeclared) {
+/// Same success, failure, pass, relation and per-process additions,
+/// compared through decodeRelation (layout-independent).
+void expectSameSynthesis(const symbolic::Encoding& encA,
+                         const core::StrongResult& a,
+                         const symbolic::Encoding& encB,
+                         const core::StrongResult& b,
+                         const std::string& where) {
+  ASSERT_EQ(a.success, b.success) << where;
+  EXPECT_EQ(static_cast<int>(a.failure), static_cast<int>(b.failure))
+      << where;
+  EXPECT_EQ(a.stats.passCompleted, b.stats.passCompleted) << where;
+  EXPECT_EQ(symbolic::decodeRelation(encA, a.relation),
+            symbolic::decodeRelation(encB, b.relation))
+      << where;
+  ASSERT_EQ(a.addedPerProcess.size(), b.addedPerProcess.size()) << where;
+  for (std::size_t j = 0; j < a.addedPerProcess.size(); ++j) {
+    EXPECT_EQ(symbolic::decodeRelation(encA, a.addedPerProcess[j]),
+              symbolic::decodeRelation(encB, b.addedPerProcess[j]))
+        << where << " process " << j;
+  }
+}
+
+/// The --verify witnesses of a relation: the non-trivial SCCs of ¬I in
+/// detection order (lockstep pivots come from pickState), the concrete
+/// cycle extracted from each, the reported deadlock state, and each
+/// part's canonical transition out of ¬I (the greedy pass's pick).
+struct Witnesses {
+  std::vector<std::vector<std::uint64_t>> components;
+  std::vector<std::vector<std::vector<int>>> cycles;
+  std::vector<int> deadlock;
+  std::vector<std::pair<std::vector<int>, std::vector<int>>> transitions;
+
+  bool operator==(const Witnesses&) const = default;
+};
+
+Witnesses witnesses(const symbolic::SymbolicProtocol& sp, const bdd::Bdd& rel,
+                    const std::vector<bdd::Bdd>& parts) {
+  const verify::Report rep = verify::check(sp, rel);
+  Witnesses w;
+  for (const bdd::Bdd& c : rep.cycles) {
+    w.components.push_back(symbolic::decodeStates(sp.enc(), c));
+    std::vector<std::vector<int>> cycle;
+    for (const verify::Step& step : verify::extractCycle(sp, rel, c, parts)) {
+      cycle.push_back(step.state);
+    }
+    w.cycles.push_back(std::move(cycle));
+  }
+  if (!rep.deadlocks.isFalse()) w.deadlock = sp.pickState(rep.deadlocks);
+  const bdd::Bdd notI = sp.enc().validCur() & !sp.invariant();
+  for (const bdd::Bdd& part : parts) {
+    if (!(part & notI).isFalse()) {
+      w.transitions.push_back(sp.pickTransition(part & notI));
+    }
+  }
+  return w;
+}
+
+/// Witnesses of the input relation (per-process parts) and of the
+/// synthesized one (per-process additions).
+std::pair<Witnesses, Witnesses> allWitnesses(
+    const symbolic::SymbolicProtocol& sp, const core::StrongResult& r) {
+  std::vector<bdd::Bdd> perProcess;
+  for (std::size_t j = 0; j < sp.processCount(); ++j) {
+    perProcess.push_back(sp.processRelation(j));
+  }
+  return {witnesses(sp, sp.protocolRelation(), perProcess),
+          witnesses(sp, r.relation, r.addedPerProcess)};
+}
+
+class LayoutDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LayoutDifferential, DealtLayoutSynthesisIdenticalToDeclared) {
   util::Rng rng(GetParam() * 7919 + 13);  // same stream as the engine test
   for (int instance = 0; instance < 3; ++instance) {
     const protocol::Protocol p = randomProtocol(rng);
@@ -317,41 +407,27 @@ TEST_P(VarOrderDifferential, StaticOrderSynthesisIdenticalToDeclared) {
       continue;
     }
 
-    symbolic::EncodingOptions decl;
-    decl.varOrder = symbolic::VarOrder::Declared;
-    symbolic::Encoding encD(p, decl);
+    symbolic::Encoding encD(p);
     symbolic::SymbolicProtocol spD(encD);
     const core::StrongResult d = core::addStrongConvergence(spD);
 
-    symbolic::EncodingOptions stat;
-    stat.varOrder = symbolic::VarOrder::Static;
-    symbolic::Encoding encS(p, stat);
-    symbolic::SymbolicProtocol spS(encS);
-    const core::StrongResult s = core::addStrongConvergence(spS);
+    symbolic::Encoding encX(p);
+    encX.manager().setLevelOrder(dealtPairOrder(encX));
+    symbolic::SymbolicProtocol spX(encX);
+    const core::StrongResult x = core::addStrongConvergence(spX);
 
-    ASSERT_EQ(d.success, s.success)
-        << "seed " << GetParam() << " instance " << instance;
-    EXPECT_EQ(static_cast<int>(d.failure), static_cast<int>(s.failure));
-    EXPECT_EQ(d.stats.passCompleted, s.stats.passCompleted);
-    // Decoded (layout-independent) comparison: identical synthesized
-    // relation and identical per-process additions.
-    EXPECT_EQ(symbolic::decodeRelation(encD, d.relation),
-              symbolic::decodeRelation(encS, s.relation))
-        << "seed " << GetParam() << " instance " << instance;
-    ASSERT_EQ(d.addedPerProcess.size(), s.addedPerProcess.size());
-    for (std::size_t j = 0; j < d.addedPerProcess.size(); ++j) {
-      EXPECT_EQ(symbolic::decodeRelation(encD, d.addedPerProcess[j]),
-                symbolic::decodeRelation(encS, s.addedPerProcess[j]))
-          << "process " << j;
-    }
+    const std::string where = "seed " + std::to_string(GetParam()) +
+                              " instance " + std::to_string(instance);
+    expectSameSynthesis(encD, d, encX, x, where);
+    EXPECT_TRUE(allWitnesses(spD, d) == allWitnesses(spX, x)) << where;
   }
 }
 
-TEST_P(VarOrderDifferential, HostileDeclarationOrderStillAgrees) {
+TEST_P(LayoutDifferential, ScrambledDeclarationWithSiftingAgrees) {
   // Scramble the declaration order (renameVars keeps the protocol
-  // semantically identical up to state relabeling) so the static order
-  // genuinely differs from the identity, then check the same instance
-  // against itself under both orders.
+  // semantically identical up to state relabeling), then run the same
+  // instance under its declared layout and under the dealt layout with
+  // sifting at a small threshold, so the levels also move mid-run.
   util::Rng rng(GetParam() * 524287 + 41);
   for (int instance = 0; instance < 2; ++instance) {
     protocol::Protocol p = randomProtocol(rng);
@@ -366,25 +442,28 @@ TEST_P(VarOrderDifferential, HostileDeclarationOrderStillAgrees) {
       continue;
     }
 
-    symbolic::EncodingOptions stat;
-    stat.varOrder = symbolic::VarOrder::Static;
-    symbolic::Encoding encS(p, stat);
-    symbolic::SymbolicProtocol spS(encS);
-    const core::StrongResult s = core::addStrongConvergence(spS);
-
     symbolic::Encoding encD(p);
     symbolic::SymbolicProtocol spD(encD);
     const core::StrongResult d = core::addStrongConvergence(spD);
 
-    ASSERT_EQ(d.success, s.success) << "seed " << GetParam();
-    EXPECT_EQ(d.stats.passCompleted, s.stats.passCompleted);
-    EXPECT_EQ(symbolic::decodeRelation(encD, d.relation),
-              symbolic::decodeRelation(encS, s.relation))
-        << "seed " << GetParam() << " instance " << instance;
+    symbolic::Encoding encX(p);
+    bdd::Manager& m = encX.manager();
+    m.setLevelOrder(dealtPairOrder(encX));
+    m.enableAutoReorder();
+    // These instances peak at a few hundred live nodes: a 64-node threshold
+    // makes sifting run in nearly every instance (2Ki never fired).
+    m.setReorderThreshold(std::size_t{1} << 6);
+    symbolic::SymbolicProtocol spX(encX);
+    const core::StrongResult x = core::addStrongConvergence(spX);
+
+    const std::string where = "seed " + std::to_string(GetParam()) +
+                              " instance " + std::to_string(instance);
+    expectSameSynthesis(encD, d, encX, x, where);
+    EXPECT_TRUE(allWitnesses(spD, d) == allWitnesses(spX, x)) << where;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, VarOrderDifferential,
+INSTANTIATE_TEST_SUITE_P(Seeds, LayoutDifferential,
                          ::testing::Range<std::uint64_t>(0, 24));
 
 // ---------------------------------------------------------------------------
@@ -432,8 +511,7 @@ TEST_P(OrbitPruneDifferential, PrunedPortfolioMatchesUnprunedSemantics) {
     // later representative instead (the orbit hash grouped
     // non-interchangeable schedules) — but the winner must then be a
     // successful representative, never an un-run instance.
-    const analysis::ProcessOrbits orbits =
-        analysis::computeOrbits(p, analysis::buildCommGraph(p));
+    const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
     const std::vector<std::size_t> reps =
         analysis::scheduleRepresentatives(orbits, schedules);
     ASSERT_LT(pruned.winner, pruned.instances.size());

@@ -143,7 +143,7 @@ TEST(Reorder, OperationsAndAnalysesAgreeAfterReorder) {
   const std::vector<Var> q{0, 5};
   const Bdd cube = m.cube(q);
   EXPECT_TRUE(f.andExists(g, cube) == (f & g).exists(cube));
-  EXPECT_TRUE(f.ite(g, !g) == ((f & g) | (!f & !g)));
+  EXPECT_TRUE(f.ite(g, !g) == ((f & g) | ((!f) & (!g))));
 
   // onePath completes to a satisfying assignment.
   const auto path = f.onePath();
@@ -164,9 +164,9 @@ TEST(Reorder, OnePathCompletionIsOrderIndependent) {
       const Var u = static_cast<Var>(rng.below(2 * kN));
       const Var v = static_cast<Var>(rng.below(2 * kN));
       const bool neg = rng.below(2) != 0;
-      const Bdd ta = neg ? !plain.var(u) & plain.var(v)
+      const Bdd ta = neg ? (!plain.var(u)) & plain.var(v)
                          : plain.var(u) ^ plain.var(v);
-      const Bdd tb = neg ? !sifted.var(u) & sifted.var(v)
+      const Bdd tb = neg ? (!sifted.var(u)) & sifted.var(v)
                          : sifted.var(u) ^ sifted.var(v);
       a = a | ta;
       b = b | tb;

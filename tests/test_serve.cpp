@@ -169,6 +169,12 @@ TEST(Serve, PingStatsAndInvalidRequests) {
     EXPECT_EQ(unknownOption.find("error")->str,
               "unknown option '" + key + "'");
   }
+  // The removed var_order key, with a value it used to accept.
+  auto varOrder = parsed(roundTrip(rs.port(),
+                                  R"({"verb":"synthesize","protocol":"x",)"
+                                  R"("options":{"var_order":"static"}})"));
+  EXPECT_EQ(varOrder.find("kind")->str, "invalid_request");
+  EXPECT_EQ(varOrder.find("error")->str, "unknown option 'var_order'");
 
   auto parseError = parsed(roundTrip(
       rs.port(), R"({"verb":"synthesize","protocol":"protocol oops"})"));
@@ -178,7 +184,7 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   // exactly one of synthesize / lint / inline / invalid, so the
   // reconciliation invariant `requests == synthesize + lint + inline +
   // invalid` holds with no leakage category.
-  EXPECT_EQ(rs.server.counters().invalid.load(), 8u);
+  EXPECT_EQ(rs.server.counters().invalid.load(), 9u);
 }
 
 TEST(Serve, CacheHitReplaysByteIdenticalResult) {

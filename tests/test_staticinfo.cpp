@@ -1,10 +1,9 @@
 // Tests for the BDD-free static-analysis engine (src/analysis/staticinfo)
-// and the abstract-interpretation tier (src/analysis/absint): communication
-// graph, topology classification, symmetry orbits, the reverse
-// Cuthill–McKee variable order, value-set evaluation/narrowing, and the
-// schedule orbit signatures the portfolio prunes with. Includes the
-// degenerate-protocol corner cases (single process, no read edges,
-// self-loop-only locality, statically unsatisfiable guards).
+// and the abstract-interpretation tier (src/analysis/absint): symmetry
+// orbits, value-set evaluation/narrowing, and the schedule orbit
+// signatures the portfolio prunes with. Includes the degenerate-protocol
+// corner cases (single process, no read edges, self-loop-only locality,
+// statically unsatisfiable guards).
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -22,8 +21,6 @@ namespace {
 using namespace stsyn;
 using analysis::AbsBool;
 using analysis::AbsEnv;
-using analysis::CommGraph;
-using analysis::Topology;
 using analysis::ValueSet;
 using protocol::E;
 using protocol::lit;
@@ -32,137 +29,12 @@ using protocol::ref;
 using protocol::VarId;
 
 // ---------------------------------------------------------------------------
-// Communication graph.
-// ---------------------------------------------------------------------------
-
-TEST(CommGraph, TokenRingReadersWritersAndAdjacency) {
-  const protocol::Protocol p = casestudies::tokenRing(4, 3);
-  const CommGraph g = analysis::buildCommGraph(p);
-
-  ASSERT_EQ(g.readersOf.size(), 4u);
-  for (std::size_t v = 0; v < 4; ++v) {
-    // x_v is written by P_v only and read by P_v and its successor.
-    EXPECT_EQ(g.writersOf[v], (std::vector<std::size_t>{v}));
-    const std::size_t succ = (v + 1) % 4;
-    std::vector<std::size_t> readers{v, succ};
-    std::sort(readers.begin(), readers.end());
-    EXPECT_EQ(g.readersOf[v], readers) << "var " << v;
-    // Co-read neighbours: the two ring neighbours of x_v.
-    std::vector<VarId> nbrs{(v + 3) % 4, succ};
-    std::sort(nbrs.begin(), nbrs.end());
-    EXPECT_EQ(g.varAdj[v], nbrs) << "var " << v;
-    // Process adjacency mirrors the ring.
-    std::vector<std::size_t> procNbrs{(v + 3) % 4, succ};
-    std::sort(procNbrs.begin(), procNbrs.end());
-    EXPECT_EQ(g.procAdj[v], procNbrs) << "proc " << v;
-  }
-  EXPECT_EQ(g.procEdgeCount(), 4u);
-}
-
-TEST(CommGraph, SelfLoopOnlyLocalityProducesNoEdges) {
-  // Degenerate: a process whose entire locality is its own variable.
-  // Self-communication carries no structure, so all adjacency is empty.
-  ProtocolBuilder b("island");
-  const VarId x = b.variable("x", 2);
-  const VarId y = b.variable("y", 2);
-  b.process("P0", {x}, {x});
-  b.process("P1", {y}, {y});
-  b.invariant(ref(x) == lit(0) && ref(y) == lit(0));
-  const protocol::Protocol p = b.build();
-
-  const CommGraph g = analysis::buildCommGraph(p);
-  EXPECT_TRUE(g.varAdj[x].empty());
-  EXPECT_TRUE(g.varAdj[y].empty());
-  EXPECT_TRUE(g.procAdj[0].empty());
-  EXPECT_TRUE(g.procAdj[1].empty());
-  EXPECT_EQ(g.procEdgeCount(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// Topology classification.
-// ---------------------------------------------------------------------------
-
-TEST(Topology, RingLineStarAndDegenerates) {
-  // Ring: the token ring for any n >= 3.
-  {
-    const protocol::Protocol p = casestudies::tokenRing(5, 3);
-    const CommGraph g = analysis::buildCommGraph(p);
-    EXPECT_EQ(analysis::classifyTopology(g, 5), Topology::Ring);
-  }
-  // Line: a chain of processes each sharing one variable with the next.
-  {
-    ProtocolBuilder b("chain");
-    std::vector<VarId> x;
-    for (int i = 0; i < 4; ++i) {
-      x.push_back(b.variable("x" + std::to_string(i), 2));
-    }
-    E inv = ref(x[0]) == lit(0);
-    for (int i = 0; i < 4; ++i) {
-      std::vector<VarId> reads{x[static_cast<std::size_t>(i)]};
-      if (i > 0) reads.push_back(x[static_cast<std::size_t>(i) - 1]);
-      b.process("P" + std::to_string(i), reads,
-                {x[static_cast<std::size_t>(i)]});
-    }
-    b.invariant(inv);
-    const protocol::Protocol p = b.build();
-    const CommGraph g = analysis::buildCommGraph(p);
-    EXPECT_EQ(analysis::classifyTopology(g, 4), Topology::Line);
-  }
-  // Star: one hub variable written by the hub, read by every leaf.
-  {
-    ProtocolBuilder b("star");
-    const VarId hub = b.variable("h", 2);
-    std::vector<VarId> leaf;
-    for (int i = 0; i < 3; ++i) {
-      leaf.push_back(b.variable("l" + std::to_string(i), 2));
-    }
-    b.process("Hub", {hub}, {hub});
-    for (int i = 0; i < 3; ++i) {
-      b.process("L" + std::to_string(i),
-                {hub, leaf[static_cast<std::size_t>(i)]},
-                {leaf[static_cast<std::size_t>(i)]});
-    }
-    b.invariant(ref(hub) == lit(0));
-    const protocol::Protocol p = b.build();
-    const CommGraph g = analysis::buildCommGraph(p);
-    EXPECT_EQ(analysis::classifyTopology(g, 4), Topology::Star);
-  }
-  // Single process and empty.
-  {
-    ProtocolBuilder b("solo");
-    const VarId x = b.variable("x", 2);
-    b.process("P", {x}, {x});
-    b.invariant(ref(x) == lit(0));
-    const CommGraph g = analysis::buildCommGraph(b.build());
-    EXPECT_EQ(analysis::classifyTopology(g, 1), Topology::SingleProcess);
-    EXPECT_EQ(analysis::classifyTopology(CommGraph{}, 0), Topology::Empty);
-  }
-  // No read edges between processes: disconnected -> General.
-  {
-    ProtocolBuilder b("islands");
-    const VarId x = b.variable("x", 2);
-    const VarId y = b.variable("y", 2);
-    b.process("P0", {x}, {x});
-    b.process("P1", {y}, {y});
-    b.invariant(ref(x) == lit(0) && ref(y) == lit(0));
-    const CommGraph g = analysis::buildCommGraph(b.build());
-    EXPECT_EQ(analysis::classifyTopology(g, 2), Topology::General);
-  }
-}
-
-TEST(Topology, ToStringIsStable) {
-  EXPECT_STREQ(analysis::toString(Topology::Ring), "ring");
-  EXPECT_STREQ(analysis::toString(Topology::General), "general");
-}
-
-// ---------------------------------------------------------------------------
 // Process symmetry orbits.
 // ---------------------------------------------------------------------------
 
 TEST(Orbits, TokenRingHasDistinguishedBottomProcess) {
   const protocol::Protocol p = casestudies::tokenRing(4, 3);
-  const analysis::ProcessOrbits orbits =
-      analysis::computeOrbits(p, analysis::buildCommGraph(p));
+  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
   ASSERT_EQ(orbits.orbitOf.size(), 4u);
   EXPECT_EQ(orbits.orbitCount, 2u);
   // P0 (the incrementing bottom process) is alone; P1..P3 share an orbit.
@@ -177,8 +49,7 @@ TEST(Orbits, TokenRingHasDistinguishedBottomProcess) {
 
 TEST(Orbits, ColoringProcessesAreAllEquivalent) {
   const protocol::Protocol p = casestudies::coloring(5);
-  const analysis::ProcessOrbits orbits =
-      analysis::computeOrbits(p, analysis::buildCommGraph(p));
+  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
   EXPECT_EQ(orbits.orbitCount, 1u);
   for (const std::size_t o : orbits.orbitOf) EXPECT_EQ(o, 0u);
 }
@@ -195,9 +66,64 @@ TEST(Orbits, DifferentDomainsBreakTheOrbit) {
   b.action(p1, "a", ref(y) == lit(0), {{y, lit(1)}});
   b.invariant(ref(x) == lit(1) && ref(y) == lit(1));
   const protocol::Protocol p = b.build();
-  const analysis::ProcessOrbits orbits =
-      analysis::computeOrbits(p, analysis::buildCommGraph(p));
+  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
   EXPECT_EQ(orbits.orbitCount, 2u);
+}
+
+TEST(Orbits, ShapesCountReadersAndWriters) {
+  // Token ring: x_v is written by P_v only and read by P_v and its
+  // successor, so every role renders as domain 3, two readers, one writer,
+  // in the invariant.
+  const protocol::Protocol ring = casestudies::tokenRing(4, 3);
+  const analysis::ProcessOrbits ringOrbits = analysis::computeOrbits(ring);
+  for (const std::string& shape : ringOrbits.shapes) {
+    EXPECT_EQ(shape.rfind("W1[3r2w1i;3r2w1i]", 0), 0u) << shape;
+  }
+
+  // Four processes with the same local action over one variable each; only
+  // the variables' reader and writer counts tell them apart.
+  ProtocolBuilder b("counts");
+  const VarId a = b.variable("a", 2);
+  const VarId bv = b.variable("b", 2);
+  const VarId c = b.variable("c", 2);
+  const VarId d = b.variable("d", 2);
+  const std::size_t p0 = b.process("P0", {a}, {a});    // a: 1 reader
+  const std::size_t p1 = b.process("P1", {bv}, {bv});  // b: 2 readers
+  b.process("P2", {bv, c}, {c});
+  const std::size_t p3 = b.process("P3", {d}, {d});    // d: 2 writers
+  const std::size_t p4 = b.process("P4", {d}, {d});
+  for (const auto& [proc, v] : {std::pair{p0, a}, std::pair{p1, bv},
+                                std::pair{p3, d}, std::pair{p4, d}}) {
+    b.action(proc, "set", ref(v) == lit(0), {{v, lit(1)}});
+  }
+  b.invariant(ref(a) == lit(1) && ref(bv) == lit(1) && ref(c) == lit(1) &&
+              ref(d) == lit(1));
+  const protocol::Protocol p = b.build();
+  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
+  EXPECT_EQ(orbits.shapes[p0].rfind("W1[2r1w1i]", 0), 0u) << orbits.shapes[p0];
+  EXPECT_EQ(orbits.shapes[p1].rfind("W1[2r2w1i]", 0), 0u) << orbits.shapes[p1];
+  EXPECT_EQ(orbits.shapes[p3].rfind("W1[2r2w2i]", 0), 0u) << orbits.shapes[p3];
+  EXPECT_NE(orbits.orbitOf[p0], orbits.orbitOf[p1]);
+  EXPECT_NE(orbits.orbitOf[p1], orbits.orbitOf[p3]);
+  EXPECT_EQ(orbits.orbitOf[p3], orbits.orbitOf[p4]);
+  EXPECT_EQ(orbits.orbitCount, 4u);
+}
+
+TEST(Orbits, SelfLoopOnlyLocalityIsOneOrbit) {
+  // Degenerate: each process's entire locality is its own variable, and
+  // neither has an action. Both render as the same one-role shape.
+  ProtocolBuilder b("island");
+  const VarId x = b.variable("x", 2);
+  const VarId y = b.variable("y", 2);
+  b.process("P0", {x}, {x});
+  b.process("P1", {y}, {y});
+  b.invariant(ref(x) == lit(0) && ref(y) == lit(0));
+  const protocol::Protocol p = b.build();
+
+  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
+  EXPECT_EQ(orbits.shapes[0], "W1[2r1w1i]");
+  EXPECT_EQ(orbits.shapes[1], "W1[2r1w1i]");
+  EXPECT_EQ(orbits.orbitCount, 1u);
 }
 
 TEST(Orbits, RenamedVariablesKeepTheOrbitPartition) {
@@ -211,79 +137,10 @@ TEST(Orbits, RenamedVariablesKeepTheOrbitPartition) {
   std::swap(perm[1], perm[4]);
   const protocol::Protocol q = protocol::renameVars(p, perm);
 
-  const analysis::ProcessOrbits a =
-      analysis::computeOrbits(p, analysis::buildCommGraph(p));
-  const analysis::ProcessOrbits b =
-      analysis::computeOrbits(q, analysis::buildCommGraph(q));
+  const analysis::ProcessOrbits a = analysis::computeOrbits(p);
+  const analysis::ProcessOrbits b = analysis::computeOrbits(q);
   EXPECT_EQ(a.orbitOf, b.orbitOf);
   EXPECT_EQ(a.shapes, b.shapes);
-}
-
-// ---------------------------------------------------------------------------
-// Static variable order (reverse Cuthill–McKee) and the cost model.
-// ---------------------------------------------------------------------------
-
-TEST(StaticOrder, CaseStudyDeclarationsAreAlreadyOptimal) {
-  // The hand-written case studies declare variables in ring order — the
-  // locality optimum — so the tie-prefers-declared rule must return the
-  // identity layout and keep existing encodings bit-for-bit identical.
-  for (const protocol::Protocol& p :
-       {casestudies::tokenRing(5, 4), casestudies::coloring(5)}) {
-    const std::vector<VarId> order = analysis::staticVarOrder(p);
-    std::vector<VarId> identity(p.vars.size());
-    std::iota(identity.begin(), identity.end(), VarId{0});
-    EXPECT_EQ(order, identity) << p.name;
-  }
-}
-
-TEST(StaticOrder, RecoversLocalityFromAHostileDeclarationOrder) {
-  // Deal the token ring's variables round-robin across the two halves of
-  // the layout (0,2,4,...,1,3,5,...): ring neighbours land far apart, so
-  // the declared order of the renamed protocol is strictly worse than the
-  // ring optimum and RCM must recover a strictly cheaper layout.
-  const protocol::Protocol p = casestudies::tokenRing(6, 3);
-  std::vector<VarId> perm(p.vars.size());
-  for (std::size_t v = 0; v < perm.size(); ++v) {
-    perm[v] = v % 2 == 0 ? v / 2 : perm.size() / 2 + v / 2;
-  }
-  const protocol::Protocol q = protocol::renameVars(p, perm);
-
-  std::vector<VarId> declared(q.vars.size());
-  std::iota(declared.begin(), declared.end(), VarId{0});
-  const std::vector<VarId> order = analysis::staticVarOrder(q);
-  const std::size_t costDeclared = analysis::layoutCost(q, declared);
-  const std::size_t costStatic = analysis::layoutCost(q, order);
-  EXPECT_LE(costStatic, costDeclared);
-  // The identity-order ring costs 1 per adjacent pair plus the wrap edge;
-  // RCM must land within a constant of that on a scrambled ring.
-  const std::size_t costOriginal =
-      analysis::layoutCost(p, std::vector<VarId>{0, 1, 2, 3, 4, 5});
-  EXPECT_LT(costStatic, costDeclared);
-  EXPECT_LE(costStatic, 2 * costOriginal);
-}
-
-TEST(StaticOrder, LayoutCostCountsWeightedEdgeLengths) {
-  // Two processes co-read {x,y} and {y,z}: cost of the declared layout
-  // (x,y,z) is |0-1| + |1-2| = 2; the layout (y,x,z) costs 1 + 2 = 3.
-  ProtocolBuilder b("w");
-  const VarId x = b.variable("x", 2);
-  const VarId y = b.variable("y", 2);
-  const VarId z = b.variable("z", 2);
-  b.process("P0", {x, y}, {x});
-  b.process("P1", {y, z}, {z});
-  b.invariant(ref(x) == lit(0));
-  const protocol::Protocol p = b.build();
-  EXPECT_EQ(analysis::layoutCost(p, std::vector<VarId>{x, y, z}), 2u);
-  EXPECT_EQ(analysis::layoutCost(p, std::vector<VarId>{y, x, z}), 3u);
-}
-
-TEST(StaticOrder, AnalyzeProtocolBundlesEverything) {
-  const protocol::Protocol p = casestudies::tokenRing(4, 3);
-  const analysis::StaticInfo info = analysis::analyzeProtocol(p);
-  EXPECT_EQ(info.topology, Topology::Ring);
-  EXPECT_EQ(info.orbits.orbitCount, 2u);
-  EXPECT_EQ(info.varOrder.size(), 4u);
-  EXPECT_EQ(info.graph.procEdgeCount(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -435,8 +292,7 @@ TEST(AbsLint, DeadAssignmentAndTautology) {
 
 TEST(ScheduleOrbits, SignaturesAndRepresentatives) {
   const protocol::Protocol p = casestudies::tokenRing(4, 3);
-  const analysis::ProcessOrbits orbits =
-      analysis::computeOrbits(p, analysis::buildCommGraph(p));
+  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
 
   // Signature replaces each process with its orbit: schedules that walk
   // interchangeable processes in the same order collide.

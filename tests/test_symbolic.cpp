@@ -19,9 +19,7 @@ namespace {
 using namespace stsyn;
 using bdd::Bdd;
 using symbolic::Encoding;
-using symbolic::EncodingOptions;
 using symbolic::SymbolicProtocol;
-using symbolic::VarOrder;
 
 TEST(Encoding, LayoutInterleavesCurrentAndNext) {
   const protocol::Protocol p = casestudies::tokenRing(3, 3);
@@ -385,7 +383,7 @@ TEST(PickTransition,ReturnsTheCanonicalLexminMember) {
   // value-lexicographic (current state, next state) key in variable
   // order, independent of the BDD layout. This property is load-bearing
   // for cross-engine parity — verify it against brute force on random
-  // relations, under both variable orders.
+  // relations.
   const protocol::Protocol p = casestudies::tokenRing(3, 3);
   util::Rng rng(321);
 
@@ -395,35 +393,30 @@ TEST(PickTransition,ReturnsTheCanonicalLexminMember) {
     return key;
   };
 
-  for (const VarOrder order : {VarOrder::Declared, VarOrder::Static}) {
-    EncodingOptions opts;
-    opts.varOrder = order;
-    const Encoding enc(p, opts);
-    const SymbolicProtocol sp(enc);
-    for (int trial = 0; trial < 20; ++trial) {
-      // Random relation: a handful of random (from, to) state pairs.
-      Bdd rel = enc.manager().falseBdd();
-      std::vector<std::pair<std::vector<int>, std::vector<int>>> pairs;
-      const std::size_t n = 1 + rng.below(12);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::vector<int> from(3);
-        std::vector<int> to(3);
-        for (int v = 0; v < 3; ++v) {
-          from[v] = static_cast<int>(rng.below(3));
-          to[v] = static_cast<int>(rng.below(3));
-        }
-        pairs.emplace_back(from, to);
-        rel |= enc.stateBdd(from) & sp.onNext(enc.stateBdd(to));
+  const Encoding enc(p);
+  const SymbolicProtocol sp(enc);
+  for (int trial = 0; trial < 20; ++trial) {
+    // Random relation: a handful of random (from, to) state pairs.
+    Bdd rel = enc.manager().falseBdd();
+    std::vector<std::pair<std::vector<int>, std::vector<int>>> pairs;
+    const std::size_t n = 1 + rng.below(12);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<int> from(3);
+      std::vector<int> to(3);
+      for (int v = 0; v < 3; ++v) {
+        from[v] = static_cast<int>(rng.below(3));
+        to[v] = static_cast<int>(rng.below(3));
       }
-      const auto [s0, s1] = sp.pickTransition(rel);
-      auto bestKey = canonicalKey(pairs[0].first, pairs[0].second);
-      for (const auto& [from, to] : pairs) {
-        auto key = canonicalKey(from, to);
-        if (key < bestKey) bestKey = key;
-      }
-      EXPECT_EQ(canonicalKey(s0, s1), bestKey)
-          << "trial " << trial << " order " << toString(order);
+      pairs.emplace_back(from, to);
+      rel |= enc.stateBdd(from) & sp.onNext(enc.stateBdd(to));
     }
+    const auto [s0, s1] = sp.pickTransition(rel);
+    auto bestKey = canonicalKey(pairs[0].first, pairs[0].second);
+    for (const auto& [from, to] : pairs) {
+      auto key = canonicalKey(from, to);
+      if (key < bestKey) bestKey = key;
+    }
+    EXPECT_EQ(canonicalKey(s0, s1), bestKey) << "trial " << trial;
   }
 }
 
