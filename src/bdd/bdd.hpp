@@ -40,7 +40,6 @@
 #include <functional>
 #include <iosfwd>
 #include <span>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -281,11 +280,6 @@ class Manager {
   /// handles remain valid; the operation cache is invalidated.
   void reorderNow();
 
-  /// Writes `f` in Graphviz DOT syntax, labelling variables via `varName`
-  /// (may be empty for numeric labels).
-  void writeDot(std::ostream& os, const Bdd& f,
-                const std::function<std::string(Var)>& varName = {}) const;
-
   /// Unique-table hash of an (var, low, high) triple. Public so benches
   /// and tests can assert its distribution quality at pool sizes beyond
   /// 2^20 nodes.
@@ -304,6 +298,22 @@ class Manager {
     NodeIndex low;   // EDGE to the cofactor at var=0 (may be complemented)
     NodeIndex high;  // EDGE to the cofactor at var=1 (always regular)
     NodeIndex next;  // unique-subtable chain / free-list link (NODE index)
+  };
+
+  /// An anonymous private mapping, unmapped on destruction. The kernel
+  /// backs a page only when it is first touched, so reserving the
+  /// operation cache's cap costs address space, not memory.
+  class Mapping {
+   public:
+    explicit Mapping(std::size_t bytes);
+    ~Mapping();
+    Mapping(const Mapping&) = delete;
+    Mapping& operator=(const Mapping&) = delete;
+    [[nodiscard]] void* data() const { return data_; }
+
+   private:
+    void* data_;
+    std::size_t bytes_;
   };
 
   struct CacheEntry {
@@ -415,9 +425,10 @@ class Manager {
   void cacheStore(Op op, NodeIndex a, NodeIndex b, NodeIndex c,
                   NodeIndex result);
   void clearCache();
-  /// Doubles the cache (bounded) when the probes since the last GC show a
-  /// low hit rate at high store pressure — the direct-mapped table is
-  /// thrashing on conflicts, not cold misses. Called from collectGarbage.
+  /// Doubles the cache in place (up to its cap) when the probes since the
+  /// last decision show a low hit rate at high store pressure — the
+  /// direct-mapped table is thrashing on conflicts, not cold misses.
+  /// maybeGc() calls it once a table's worth of stores has accumulated.
   void maybeGrowCache();
 
   // --- recursive kernels ----------------------------------------------
@@ -462,7 +473,11 @@ class Manager {
   NodeIndex freeList_ = kNil;
   std::size_t liveNodes_ = 0;
 
-  std::vector<CacheEntry> cache_;
+  // The operation cache: a direct-mapped table over the first cacheSize_
+  // entries (a power of two) of a mapping reserved at the growth cap.
+  Mapping cacheMap_;
+  CacheEntry* cache_;
+  std::size_t cacheSize_;
   std::vector<std::uint32_t> extRefs_;  // per-node external reference count
 
   std::size_t gcThreshold_;

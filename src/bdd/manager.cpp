@@ -22,10 +22,19 @@
 // automatic variable reordering (reorder.cpp).
 #include "bdd/bdd.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
+#include <memory>
+#include <new>
+#include <span>
 #include <stdexcept>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 #include "obs/trace.hpp"
 
@@ -33,9 +42,11 @@ namespace stsyn::bdd {
 
 namespace {
 constexpr std::size_t kInitialBucketsPerVar = 1u << 6;
-constexpr std::size_t kCacheEntries = 1u << 20;
-/// Adaptive-growth ceiling for the operation cache (entries).
-constexpr std::size_t kMaxCacheEntries = 1u << 22;
+/// Operation-cache size at construction and its growth cap (entries of
+/// 16 bytes: 64 KiB and 16 MiB). A cap of 2^22 let coloring(30) grow to
+/// 2^21 entries for the same lookup count as 2^20 (EXPERIMENTS.md).
+constexpr std::size_t kInitialCacheEntries = std::size_t{1} << 12;
+constexpr std::size_t kMaxCacheEntries = std::size_t{1} << 20;
 constexpr std::size_t kInitialGcThreshold = std::size_t{1} << 23;
 constexpr std::size_t kInitialReorderThreshold = std::size_t{1} << 17;
 
@@ -98,9 +109,19 @@ bool Bdd::isTrue() const { return mgr_ != nullptr && index_ == Manager::kTrue; }
 
 Manager::Manager(Var varCount)
     : varCount_(varCount),
-      cache_(kCacheEntries),
+      cacheMap_(kMaxCacheEntries * sizeof(CacheEntry)),
+      cache_(static_cast<CacheEntry*>(cacheMap_.data())),
+      cacheSize_(kInitialCacheEntries),
       gcThreshold_(kInitialGcThreshold),
       reorderThreshold_(kInitialReorderThreshold) {
+  // ASan cannot tell the reserved tail of the mapping from the active
+  // prefix; poison it so a probe past cacheSize_ fails loudly.
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_POISON_MEMORY_REGION(cache_ + cacheSize_,
+                            (kMaxCacheEntries - cacheSize_) *
+                                sizeof(CacheEntry));
+#endif
+  std::uninitialized_fill_n(cache_, cacheSize_, CacheEntry{});
   nodes_.reserve(1u << 16);
   // The single terminal. Its var field is the out-of-band terminal marker
   // so that every internal level compares smaller; FALSE is the
@@ -122,6 +143,21 @@ Manager::Manager(Var varCount)
 }
 
 Manager::~Manager() = default;
+
+Manager::Mapping::Mapping(std::size_t bytes)
+    : data_(mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0)),
+      bytes_(bytes) {
+  if (data_ == MAP_FAILED) throw std::bad_alloc();
+}
+
+Manager::Mapping::~Mapping() {
+#if defined(__SANITIZE_ADDRESS__)
+  // A later mapping may reuse these addresses; leave no poison behind.
+  ASAN_UNPOISON_MEMORY_REGION(data_, bytes_);
+#endif
+  munmap(data_, bytes_);
+}
 
 // ---------------------------------------------------------------------------
 // Unique subtables.
@@ -241,6 +277,9 @@ void Manager::maybeGc() {
     // back off geometrically.
     if (liveNodes_ * 2 > before) gcThreshold_ *= 2;
   }
+  // The cache's only growth point: decide once a table's worth of stores
+  // has accumulated since the last decision.
+  if (stats_.cacheStores - cacheStoresAtGrow_ >= cacheSize_) maybeGrowCache();
   if (autoReorder_ && liveNodes_ >= reorderThreshold_) {
     reorderNow();
     // Geometric backoff: re-trigger only after the live set has grown well
@@ -324,7 +363,7 @@ void Manager::collectGarbage() {
   // operands exactly.)
   constexpr NodeIndex kKaEdgeMask =
       (NodeIndex{1} << kCacheOpShift) - 1;
-  for (CacheEntry& e : cache_) {
+  for (CacheEntry& e : std::span(cache_, cacheSize_)) {
     if (e.ka == kCacheEmpty) continue;
     const NodeIndex na = nodeOf(e.ka & kKaEdgeMask);
     const NodeIndex nb = nodeOf(e.b);
@@ -336,7 +375,6 @@ void Manager::collectGarbage() {
       e.ka = kCacheEmpty;
     }
   }
-  maybeGrowCache();
 }
 
 // ---------------------------------------------------------------------------
@@ -357,7 +395,7 @@ bool Manager::cacheLookup(Op op, NodeIndex a, NodeIndex b, NodeIndex c,
   const NodeIndex ka =
       (static_cast<NodeIndex>(op) << kCacheOpShift) | a;
   ++stats_.cacheLookups;
-  const CacheEntry& e = cache_[cacheHash(ka, b, c) & (cache_.size() - 1)];
+  const CacheEntry& e = cache_[cacheHash(ka, b, c) & (cacheSize_ - 1)];
   if (e.ka != ka || e.b != b || e.c != c) return false;
   ++stats_.cacheHits;
   out = e.result;
@@ -369,7 +407,7 @@ void Manager::cacheStore(Op op, NodeIndex a, NodeIndex b, NodeIndex c,
   const NodeIndex ka =
       (static_cast<NodeIndex>(op) << kCacheOpShift) | a;
   ++stats_.cacheStores;
-  CacheEntry& e = cache_[cacheHash(ka, b, c) & (cache_.size() - 1)];
+  CacheEntry& e = cache_[cacheHash(ka, b, c) & (cacheSize_ - 1)];
   e.ka = ka;
   e.b = b;
   e.c = c;
@@ -377,7 +415,7 @@ void Manager::cacheStore(Op op, NodeIndex a, NodeIndex b, NodeIndex c,
 }
 
 void Manager::clearCache() {
-  for (CacheEntry& e : cache_) e.ka = kCacheEmpty;
+  for (CacheEntry& e : std::span(cache_, cacheSize_)) e.ka = kCacheEmpty;
 }
 
 void Manager::maybeGrowCache() {
@@ -385,24 +423,36 @@ void Manager::maybeGrowCache() {
   // shows up as a poor hit rate DESPITE heavy store traffic. Grow
   // (power-of-two doubling, bounded) only when the window since the last
   // decision shows exactly that signature; cold caches and well-fitting
-  // workloads keep the current size. Live entries are rehashed into the
-  // doubled table so warm state survives the resize.
+  // workloads keep the current size.
   const std::size_t lookups = stats_.cacheLookups - cacheLookupsAtGrow_;
   const std::size_t hits = stats_.cacheHits - cacheHitsAtGrow_;
   const std::size_t stores = stats_.cacheStores - cacheStoresAtGrow_;
   cacheLookupsAtGrow_ = stats_.cacheLookups;
   cacheHitsAtGrow_ = stats_.cacheHits;
   cacheStoresAtGrow_ = stats_.cacheStores;
-  if (cache_.size() >= kMaxCacheEntries) return;
-  if (lookups < cache_.size()) return;      // too few probes to judge
-  if (hits * 5 >= lookups * 2) return;      // >= 40% hit rate: healthy
-  if (stores * 2 < cache_.size()) return;   // low occupancy: misses are cold
-  std::vector<CacheEntry> grown(cache_.size() * 2);
-  for (const CacheEntry& e : cache_) {
-    if (e.ka == kCacheEmpty) continue;
-    grown[cacheHash(e.ka, e.b, e.c) & (grown.size() - 1)] = e;
+  if (cacheSize_ >= kMaxCacheEntries) return;
+  if (lookups < cacheSize_) return;       // too few probes to judge
+  if (hits * 5 >= lookups * 2) return;    // >= 40% hit rate: healthy
+  if (stores * 2 < cacheSize_) return;    // low occupancy: misses are cold
+  // Double in place. An entry in slot i has hash bits i below the old
+  // size, so under the doubled mask it belongs in i or i + old, decided
+  // by the next hash bit: exactly where a rehash into a fresh table would
+  // put it, so warm entries survive without a second array.
+  const std::size_t old = cacheSize_;
+  CacheEntry* upper = cache_ + old;
+#if defined(__SANITIZE_ADDRESS__)
+  ASAN_UNPOISON_MEMORY_REGION(upper, old * sizeof(CacheEntry));
+#endif
+  std::uninitialized_fill_n(upper, old, CacheEntry{});
+  for (std::size_t i = 0; i < old; ++i) {
+    CacheEntry& e = cache_[i];
+    if (e.ka == kCacheEmpty || (cacheHash(e.ka, e.b, e.c) & old) == 0) {
+      continue;
+    }
+    upper[i] = e;
+    e.ka = kCacheEmpty;
   }
-  cache_ = std::move(grown);
+  cacheSize_ = old * 2;
 }
 
 // ---------------------------------------------------------------------------

@@ -59,12 +59,18 @@ struct StrongOptions {
   bool greedyCycleResolution = true;
 };
 
+/// Failure contract: a run that fails before the passes
+/// (NoStabilizingVersionExists, PreexistingCycleUnremovable) returns the
+/// input relation delta_p unchanged, with no additions. A run that fails
+/// with UnresolvedDeadlocks returns what the passes built, for diagnostics.
+/// The explicit oracle (explicitstate::SynthResult) follows the same
+/// contract.
 struct StrongResult {
   bool success = false;
   Failure failure = Failure::None;
 
-  /// The synthesized relation delta_pss (valid only on success, but always
-  /// holds the partial result for diagnostics).
+  /// The synthesized relation delta_pss on success; on failure, see the
+  /// contract above.
   bdd::Bdd relation;
 
   /// Recovery transitions added to each process (pss minus p, per process).

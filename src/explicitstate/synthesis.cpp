@@ -59,21 +59,25 @@ class ExplicitSynthesizer {
     return deadlocks_;
   }
 
+  /// Every group with an edge inside a cycle outside I is checked before
+  /// any is erased, so a failed run leaves the input relation untouched.
   [[nodiscard]] bool removePreexistingCycles() {
+    std::set<GroupKey> toRemove;
     for (const auto& component : currentSccs()) {
       const std::set<StateId> inC(component.begin(), component.end());
       for (std::size_t j = 0; j < pssProc_.size(); ++j) {
-        std::set<GroupKey> toRemove;
         for (const Edge& e : pssProc_[j]) {
           if (inC.contains(e.first) && inC.contains(e.second)) {
             toRemove.insert(groups_.groupOf(j, e.first, e.second));
           }
         }
-        for (const GroupKey& g : toRemove) {
-          if (groups_.sigTouchesInvariant(j, g.readSig)) return false;
-          for (const Edge& e : groups_.members(g)) pssProc_[j].erase(e);
-        }
       }
+    }
+    for (const GroupKey& g : toRemove) {
+      if (groups_.sigTouchesInvariant(g.process, g.readSig)) return false;
+    }
+    for (const GroupKey& g : toRemove) {
+      for (const Edge& e : groups_.members(g)) pssProc_[g.process].erase(e);
     }
     recomputeDeadlocks();
     return true;

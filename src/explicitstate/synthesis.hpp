@@ -34,7 +34,9 @@ struct SynthResult {
   bool success = false;
   SynthFailure failure = SynthFailure::None;
 
-  /// delta_pss as a sorted, duplicate-free edge list.
+  /// delta_pss as a sorted, duplicate-free edge list. On failure this
+  /// follows core::StrongResult's contract: the input relation when the
+  /// run fails before the passes, the passes' partial result otherwise.
   std::vector<std::pair<StateId, StateId>> relation;
 
   /// Recovery edges added per process (sorted).

@@ -1,30 +1,60 @@
 // Unit tests for the BDD substrate: construction, boolean algebra,
-// quantification, relational product, renaming, analyses, and garbage
-// collection.
+// quantification, relational product, renaming, analyses, garbage
+// collection, and the operation cache's growth.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <memory>
 #include <sstream>
 #include <thread>
 
 #include "bdd/bdd.hpp"
+#include "casestudies/coloring.hpp"
+#include "casestudies/token_ring.hpp"
+#include "core/heuristic.hpp"
+#include "symbolic/relations.hpp"
 #include "util/rng.hpp"
 
 namespace stsyn::bdd {
 
 /// Test-only backdoor (friend of Manager) used to plant adversarial
-/// operation-cache entries for the GC sweep regression tests.
+/// operation-cache entries for the GC sweep regression tests and to drive
+/// the cache's growth rule directly.
 struct ManagerTestAccess {
   static void plantCacheEntry(Manager& m, NodeIndex a, NodeIndex b,
                               NodeIndex c, NodeIndex result) {
-    Manager::CacheEntry& e = m.cache_.front();
+    Manager::CacheEntry& e = m.cache_[0];
     e.ka = a;  // op nibble 0 (And) | a-operand edge
     e.b = b;
     e.c = c;
     e.result = result;
   }
   static bool frontSlotEvicted(const Manager& m) {
-    return m.cache_.front().ka == Manager::kCacheEmpty;
+    return m.cache_[0].ka == Manager::kCacheEmpty;
+  }
+  static std::size_t cacheEntries(const Manager& m) { return m.cacheSize_; }
+  /// A probe of key (a, b), as a kernel makes it before computing.
+  static bool lookup(Manager& m, NodeIndex a, NodeIndex b, NodeIndex& out) {
+    return m.cacheLookup(Manager::Op::And, a, b, 0, out);
+  }
+  /// A kernel's miss: probe, then install (a, b) -> result.
+  static void missAndStore(Manager& m, NodeIndex a, NodeIndex b,
+                           NodeIndex result) {
+    NodeIndex ignored;
+    (void)m.cacheLookup(Manager::Op::And, a, b, 0, ignored);
+    m.cacheStore(Manager::Op::And, a, b, 0, result);
+  }
+  static void decideGrowth(Manager& m) { m.maybeGrowCache(); }
+  /// Every occupied slot of the active prefix as (a, b, result).
+  static std::vector<std::array<NodeIndex, 3>> storedEntries(
+      const Manager& m) {
+    std::vector<std::array<NodeIndex, 3>> out;
+    for (std::size_t i = 0; i < m.cacheSize_; ++i) {
+      const Manager::CacheEntry& e = m.cache_[i];
+      if (e.ka != Manager::kCacheEmpty) out.push_back({e.ka, e.b, e.result});
+    }
+    return out;
   }
 };
 
@@ -255,18 +285,6 @@ TEST(BddGc, AggressiveThresholdKeepsResultsCorrect) {
   EXPECT_DOUBLE_EQ(acc.satCount(lv), models);
 }
 
-TEST(BddDot, WritesParsableDigraph) {
-  Manager m(3);
-  const Bdd f = m.var(0) & !m.var(2);
-  std::ostringstream os;
-  m.writeDot(os, f, [](Var v) { return "level" + std::to_string(v); });
-  const std::string dot = os.str();
-  EXPECT_NE(dot.find("digraph bdd"), std::string::npos);
-  EXPECT_NE(dot.find("level0"), std::string::npos);
-  EXPECT_NE(dot.find("level2"), std::string::npos);
-  EXPECT_EQ(dot.find("level1"), std::string::npos);  // not in support
-}
-
 TEST(BddCube, CubeOfUnsortedVarsIsSortedConjunction) {
   Manager m(6);
   const std::vector<Var> vs{4, 1, 3};
@@ -456,6 +474,114 @@ TEST(BddGc, CacheSweepEvictsEntriesWhoseResultDied) {
   }  // handle dropped: the planted result node is now garbage
   m.collectGarbage();
   EXPECT_TRUE(ManagerTestAccess::frontSlotEvicted(m));
+}
+
+constexpr std::size_t kInitialCache = std::size_t{1} << 12;
+constexpr std::size_t kCacheCap = std::size_t{1} << 20;
+
+/// One window of `size` distinct misses, each followed by a store: 0% hit
+/// rate at full store pressure, the signature the growth rule acts on.
+/// Keys start at `base` so successive windows do not collide.
+void thrashingWindow(Manager& m, NodeIndex base) {
+  const std::size_t size = ManagerTestAccess::cacheEntries(m);
+  for (NodeIndex k = 0; k < size; ++k) {
+    ManagerTestAccess::missAndStore(m, base + 2 * k, 2 * k + 1, 2 * k);
+  }
+}
+
+TEST(BddCache, DoublingKeepsEveryStoredEntryFindable) {
+  Manager m(4);
+  thrashingWindow(m, 4);
+  const auto before = ManagerTestAccess::storedEntries(m);
+  ASSERT_GT(before.size(), kInitialCache / 2);  // a well-filled table
+  ManagerTestAccess::decideGrowth(m);
+  ASSERT_EQ(ManagerTestAccess::cacheEntries(m), 2 * kInitialCache);
+  // Nothing is lost or duplicated by the move, and every entry is still
+  // found by a probe that masks with the doubled size.
+  EXPECT_EQ(ManagerTestAccess::storedEntries(m).size(), before.size());
+  for (const auto& [a, b, result] : before) {
+    NodeIndex out = 0;
+    ASSERT_TRUE(ManagerTestAccess::lookup(m, a, b, out)) << a << "," << b;
+    EXPECT_EQ(out, result);
+  }
+}
+
+TEST(BddCache, SizeStaysAPowerOfTwoBetweenStartAndCap) {
+  Manager m(4);
+  EXPECT_EQ(ManagerTestAccess::cacheEntries(m), kInitialCache);
+  NodeIndex base = 4;
+  for (int window = 0; window < 9; ++window) {
+    thrashingWindow(m, base);
+    base += 2 * static_cast<NodeIndex>(ManagerTestAccess::cacheEntries(m));
+    ManagerTestAccess::decideGrowth(m);
+    const std::size_t size = ManagerTestAccess::cacheEntries(m);
+    EXPECT_TRUE(std::has_single_bit(size)) << size;
+    EXPECT_GE(size, kInitialCache);
+    EXPECT_LE(size, kCacheCap);
+  }
+  // Eight doublings reach the cap; the ninth window must not pass it.
+  EXPECT_EQ(ManagerTestAccess::cacheEntries(m), kCacheCap);
+}
+
+TEST(BddCache, HealthyOrColdWindowDoesNotGrow) {
+  Manager healthy(4);
+  thrashingWindow(healthy, 4);
+  ManagerTestAccess::decideGrowth(healthy);  // closes the thrashing window
+  ASSERT_EQ(ManagerTestAccess::cacheEntries(healthy), 2 * kInitialCache);
+  // Store pressure over half the table, then re-probe what is stored:
+  // the window's hit rate is well above the 40% the rule calls healthy.
+  const auto s0 = healthy.stats();
+  for (NodeIndex k = 0; k <= kInitialCache; ++k) {
+    ManagerTestAccess::missAndStore(healthy, 2 * k + 3, 1, 2);
+  }
+  const auto stored = ManagerTestAccess::storedEntries(healthy);
+  for (int round = 0; round < 3; ++round) {
+    for (const auto& [a, b, result] : stored) {
+      NodeIndex out;
+      ASSERT_TRUE(ManagerTestAccess::lookup(healthy, a, b, out));
+    }
+  }
+  const auto& s1 = healthy.stats();
+  const std::size_t lookups = s1.cacheLookups - s0.cacheLookups;
+  ASSERT_GE(lookups, 2 * kInitialCache);
+  ASSERT_GE((s1.cacheHits - s0.cacheHits) * 5, lookups * 2);
+  ASSERT_GE((s1.cacheStores - s0.cacheStores) * 2, 2 * kInitialCache);
+  ManagerTestAccess::decideGrowth(healthy);
+  EXPECT_EQ(ManagerTestAccess::cacheEntries(healthy), 2 * kInitialCache);
+
+  // Cold: plenty of probes, all missing, but too few stores to fill half
+  // the table — the misses are first touches, not conflicts.
+  Manager cold(4);
+  for (NodeIndex k = 0; k < 4 * kInitialCache; ++k) {
+    NodeIndex out;
+    EXPECT_FALSE(ManagerTestAccess::lookup(cold, 2 * k + 2, 1, out));
+  }
+  for (NodeIndex k = 0; k < kInitialCache / 4; ++k) {
+    ManagerTestAccess::missAndStore(cold, 2 * k + 2, 3, 2);
+  }
+  ManagerTestAccess::decideGrowth(cold);
+  EXPECT_EQ(ManagerTestAccess::cacheEntries(cold), kInitialCache);
+}
+
+std::size_t cacheAfterSynthesis(const stsyn::protocol::Protocol& p) {
+  const stsyn::symbolic::Encoding enc(p);
+  const stsyn::symbolic::SymbolicProtocol sp(enc);
+  const stsyn::core::StrongResult r = stsyn::core::addStrongConvergence(sp);
+  EXPECT_TRUE(r.success) << p.name;
+  return ManagerTestAccess::cacheEntries(sp.manager());
+}
+
+TEST(BddCache, GrowsWithTheWorkUpToTheCap) {
+  // Growth is decided at public operation boundaries once a table's worth
+  // of stores has accumulated. A small study stays small; a large one
+  // grows, never past the cap.
+  const std::size_t ring =
+      cacheAfterSynthesis(stsyn::casestudies::tokenRing(4, 3));
+  EXPECT_LE(ring, std::size_t{1} << 16);
+  const std::size_t coloring =
+      cacheAfterSynthesis(stsyn::casestudies::coloring(20));
+  EXPECT_GT(coloring, kInitialCache);
+  EXPECT_LE(coloring, kCacheCap);
 }
 
 TEST(BddThreads, BindToCurrentThreadAdoptsAManagerBuiltElsewhere) {

@@ -154,6 +154,44 @@ TEST(CrossSynthesis, PreexistingCycleCasesAgree) {
   }
 }
 
+TEST(CrossSynthesis, UnremovableCycleAfterARemovableGroupReturnsTheInput) {
+  // One cycle outside I (x2 = 1) over P0's and P1's edges. P0 reads x2, so
+  // its groups stay outside I and could be removed; P1 does not, so its
+  // groups reach into I and cannot be. Both engines visit P0 first, and a
+  // failed run must still return delta_p untouched.
+  using protocol::lit;
+  using protocol::ref;
+  protocol::ProtocolBuilder b("removable-then-locked");
+  const protocol::VarId x0 = b.variable("x0", 2);
+  const protocol::VarId x1 = b.variable("x1", 2);
+  const protocol::VarId x2 = b.variable("x2", 2);
+  const std::size_t p0 = b.process("P0", {x0, x1, x2}, {x0});
+  const std::size_t p1 = b.process("P1", {x0, x1}, {x1});
+  b.process("P2", {x2}, {x2});  // no actions: only recovery resets x2
+  b.action(p0, "up", ref(x2) == lit(1) && ref(x0) == lit(0) &&
+                         ref(x1) == lit(0),
+           {{x0, lit(1)}});
+  b.action(p0, "down", ref(x2) == lit(1) && ref(x0) == lit(1) &&
+                           ref(x1) == lit(1),
+           {{x0, lit(0)}});
+  b.action(p1, "follow1", ref(x0) == lit(1) && ref(x1) == lit(0),
+           {{x1, lit(1)}});
+  b.action(p1, "follow0", ref(x0) == lit(0) && ref(x1) == lit(1),
+           {{x1, lit(0)}});
+  b.invariant(ref(x2) == lit(0));
+  const protocol::Protocol p = b.build();
+  expectAgreement(p);
+
+  const explicitstate::StateSpace space(p);
+  const explicitstate::SynthResult ex =
+      explicitstate::addStrongConvergenceExplicit(space);
+  EXPECT_EQ(ex.failure,
+            explicitstate::SynthFailure::PreexistingCycleUnremovable);
+  symbolic::Encoding enc(p);
+  symbolic::SymbolicProtocol sp(enc);
+  EXPECT_EQ(ex.relation, decodeEdges(enc, sp.protocolRelation()));
+}
+
 TEST(CrossSynthesis, TwoRingSmallDomain) {
   // TR² with |D| = 2 (2^8 * 2 = 512 states) — the non-ring topology with
   // multi-variable writers exercises the group machinery differently.
