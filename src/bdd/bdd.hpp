@@ -11,7 +11,9 @@
 //   * the boolean connectives (all conjunction-shaped ones served by a
 //     single cached And kernel via De Morgan), ITE, and negation,
 //   * existential/universal quantification over variable cubes,
-//   * the AndExists relational product (the image/preimage workhorse),
+//   * the AndExists relational product, and the fused image kernels
+//     relNext/relPrev that step over interleaved (current, next) pairs and
+//     return their result on the current-state variables directly,
 //   * order-preserving variable renaming (current-state <-> next-state),
 //   * model counting, support computation, cube extraction, and per-BDD
 //     node counts (the space metric the paper's Figures 7/9/11 report),
@@ -109,6 +111,21 @@ class Bdd {
   [[nodiscard]] Bdd forall(const Bdd& cube) const;
   /// Relational product: exists cube. (this AND rhs), computed in one pass.
   [[nodiscard]] Bdd andExists(const Bdd& rhs, const Bdd& cube) const;
+
+  /// Fused image: { s' in within : exists s in this, (s, s') in rel }, with
+  /// this, `within` and the result over the current-state variables and
+  /// `rel` over (current, next) pairs — the pairs registered as two-member
+  /// groups with Manager::setReorderGroups. One pass, one pair at a time:
+  /// no next-state intermediate, no rename, and `within` prunes a branch
+  /// before it is expanded. Precondition: every pair sits on adjacent
+  /// levels (sifting and setLevelOrder keep them so); which member is on
+  /// top does not matter. Throws std::logic_error when an operand's
+  /// support leaves the registered pairs.
+  [[nodiscard]] Bdd relNext(const Bdd& rel, const Bdd& within) const;
+  /// Fused preimage: { s in within : exists s' in states, (s, s') in this },
+  /// with `states`, `within` and the result over the current-state
+  /// variables. Same pairs and precondition as relNext.
+  [[nodiscard]] Bdd relPrev(const Bdd& states, const Bdd& within) const;
 
   /// If-then-else with this function as the condition: (this AND g) OR
   /// (NOT this AND h), computed in one pass.
@@ -257,9 +274,10 @@ class Manager {
   /// Permutes the variable order to exactly `levelToIndex` (position 0 =
   /// topmost) via in-place adjacent swaps; external handles survive, the
   /// operation cache is invalidated. Intended for experiments and
-  /// ablations (e.g. installing a deliberately bad order); the caller is
-  /// responsible for keeping any registered groups contiguous if renames
-  /// will run afterwards.
+  /// ablations (e.g. installing a deliberately bad order). Throws
+  /// std::invalid_argument, before moving anything, when the order
+  /// separates the members of a registered group: renames and the fused
+  /// image kernels would build malformed BDDs on such a layout.
   void setLevelOrder(std::span<const Var> levelToIndex);
 
   /// Declares atomic reorder groups: each group is a list of variable
@@ -268,6 +286,8 @@ class Manager {
   /// Variables not mentioned sift individually. The protocol encoding
   /// registers its interleaved (current, next) bit pairs here so that
   /// current<->next renaming stays order-preserving under any reorder.
+  /// A two-member group {c, n} is also the (current, next) pair that
+  /// relNext/relPrev step over: c is the current-state copy.
   void setReorderGroups(std::vector<std::vector<Var>> groups);
 
   /// Enables/disables automatic sifting, triggered at operation
@@ -384,6 +404,8 @@ class Manager {
     Rename,
     Compose,
     Impl,
+    RelNext,
+    RelPrev,
   };
 
   // --- node pool -----------------------------------------------------
@@ -442,6 +464,10 @@ class Manager {
   [[nodiscard]] NodeIndex existsRec(NodeIndex f, NodeIndex cube);
   [[nodiscard]] NodeIndex andExistsRec(NodeIndex f, NodeIndex g,
                                        NodeIndex cube);
+  /// The one body of relNext (op == RelNext) and relPrev (op == RelPrev):
+  /// s is the state set, r the relation, c the constraint.
+  [[nodiscard]] NodeIndex relProductRec(Op op, NodeIndex s, NodeIndex r,
+                                        NodeIndex c);
   [[nodiscard]] NodeIndex renameRec(NodeIndex f, std::span<const Var> perm,
                                     std::uint64_t permTag);
   [[nodiscard]] NodeIndex composeRec(NodeIndex f, Var v, NodeIndex g);
@@ -501,6 +527,10 @@ class Manager {
   std::size_t reorderThreshold_;
   std::vector<std::vector<Var>> reorderGroups_;  // partition of all vars
   std::vector<std::size_t> groupOrder_;  // group ids by position, sift scratch
+  // The (current, next) pair of each variable index, from the two-member
+  // groups; kTerminalVar for a variable in no such group.
+  std::vector<Var> pairCur_;
+  std::vector<Var> pairNext_;
   std::vector<std::uint32_t> reorderRefs_;  // total (ext+parent) refs, scratch
 
   // Rename permutations are interned per distinct permutation identity;

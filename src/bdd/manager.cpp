@@ -134,6 +134,8 @@ Manager::Manager(Var varCount)
 
   indexToLevel_.resize(varCount_);
   levelToIndex_.resize(varCount_);
+  pairCur_.assign(varCount_, kTerminalVar);
+  pairNext_.assign(varCount_, kTerminalVar);
   reorderGroups_.reserve(varCount_);
   for (Var v = 0; v < varCount_; ++v) {
     indexToLevel_[v] = v;

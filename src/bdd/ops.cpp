@@ -1,8 +1,9 @@
 // Recursive BDD operation kernels over complement edges: the unified And
 // kernel (serving And/Or/Nand/Nor through De Morgan), Xor, ITE with
 // standard-triple normalization, existential quantification (universal is
-// ¬∃¬f), the AndExists relational product, the non-materializing
-// implication test, composition, and order-preserving renaming.
+// ¬∃¬f), the AndExists relational product, the fused image kernels
+// relNext/relPrev, the non-materializing implication test, composition,
+// and order-preserving renaming.
 //
 // Negation is NOT a kernel any more: with complement edges it is an O(1)
 // bit flip on the handle (operator! below), allocates nothing, and needs
@@ -286,6 +287,89 @@ NodeIndex Manager::andExistsRec(NodeIndex f, NodeIndex g, NodeIndex cube) {
   return result;
 }
 
+// ---------------------------------------------------------------------------
+// Fused image kernels. relNext and relPrev recurse one (current, next) pair
+// at a time and build their result on the current levels directly, so an
+// image step is one pass instead of an AndExists on the next levels plus a
+// rename back (or a rename forward plus an AndExists, for a preimage).
+// ---------------------------------------------------------------------------
+
+NodeIndex Manager::relProductRec(Op op, NodeIndex s, NodeIndex r,
+                                 NodeIndex c) {
+  if (s == kFalse || r == kFalse || c == kFalse) return kFalse;
+  if (r == kTrue) return c;  // s is non-empty, and every pair is related
+
+  NodeIndex cached;
+  if (cacheLookup(op, s, r, c, cached)) return cached;
+
+  // The top pair holds the topmost variable of the three operands; r is
+  // internal here, so the minimum is a real level.
+  Var top = nodeLevel(r);
+  top = std::min(top, nodeLevel(s));
+  top = std::min(top, nodeLevel(c));
+  const Var v = levelToIndex_[top];
+  const Var cur = pairCur_[v];
+  const Var next = pairNext_[v];
+  if (cur == kTerminalVar) {
+    throw std::logic_error(
+        "relNext/relPrev: operand support outside the registered "
+        "(current, next) pairs");
+  }
+  // s and c range over current-state variables only.
+  if (nodes_[nodeOf(s)].var == next || nodes_[nodeOf(c)].var == next) {
+    throw std::logic_error(
+        "relNext/relPrev: state operand depends on a next-state variable");
+  }
+
+  // Cofactors by value of one variable (the edge itself when its node does
+  // not test that variable). Nodes are copied: recursion may realloc.
+  const auto cofactor = [this](NodeIndex e, Var var, NodeIndex out[2]) {
+    const Node n = nodes_[nodeOf(e)];
+    out[0] = n.var == var ? throughEdge(e, n.low) : e;
+    out[1] = n.var == var ? throughEdge(e, n.high) : e;
+  };
+  NodeIndex s01[2];
+  NodeIndex c01[2];
+  cofactor(s, cur, s01);
+  cofactor(c, cur, c01);
+  // r[a][b] = r with current bit a and next bit b, cofactored by the upper
+  // member of the pair first: pairs are adjacent, so after it the lower
+  // member is the only variable left to split at this pair.
+  const bool curOnTop = indexToLevel_[cur] < indexToLevel_[next];
+  const Var upper = curOnTop ? cur : next;
+  const Var lower = curOnTop ? next : cur;
+  NodeIndex ru[2];
+  NodeIndex rul[2][2];
+  cofactor(r, upper, ru);
+  cofactor(ru[0], lower, rul[0]);
+  cofactor(ru[1], lower, rul[1]);
+  NodeIndex rab[2][2];
+  for (int a = 0; a < 2; ++a) {
+    for (int b = 0; b < 2; ++b) {
+      rab[a][b] = curOnTop ? rul[a][b] : rul[b][a];
+    }
+  }
+
+  // Branch x of the result fixes its current bit to x; the quantified bit
+  // y runs over the other side of the pair. An image quantifies the
+  // source (r[y][x] with s_y), a preimage the target (r[x][y] with s_y).
+  const bool image = op == Op::RelNext;
+  NodeIndex branch[2];
+  for (int x = 0; x < 2; ++x) {
+    const NodeIndex r0 = image ? rab[0][x] : rab[x][0];
+    const NodeIndex r1 = image ? rab[1][x] : rab[x][1];
+    const NodeIndex lo = relProductRec(op, s01[0], r0, c01[x]);
+    if (lo == c01[x] || (s01[0] == s01[1] && r0 == r1)) {
+      branch[x] = lo;  // already all of c, or the other disjunct is equal
+    } else {
+      branch[x] = orRec(lo, relProductRec(op, s01[1], r1, c01[x]));
+    }
+  }
+  const NodeIndex result = mk(cur, branch[0], branch[1]);
+  cacheStore(op, s, r, c, result);
+  return result;
+}
+
 NodeIndex Manager::composeRec(NodeIndex f, Var v, NodeIndex g) {
   if (regularEdge(f) == kTrue) return f;  // constants: nothing to replace
   // Sign-normalize: (¬f)[v := g] = ¬(f[v := g]); recurse and cache on the
@@ -416,6 +500,26 @@ Bdd Bdd::andExists(const Bdd& rhs, const Bdd& cube) const {
   }
   m->maybeGc();
   return m->wrap(m->andExistsRec(index_, rhs.index_, cube.index_));
+}
+
+Bdd Bdd::relNext(const Bdd& rel, const Bdd& within) const {
+  Manager* m = commonManager(*this, rel);
+  if (within.manager() != m) {
+    throw std::invalid_argument("BDD operands from different managers");
+  }
+  m->maybeGc();
+  return m->wrap(
+      m->relProductRec(Manager::Op::RelNext, index_, rel.index_, within.index_));
+}
+
+Bdd Bdd::relPrev(const Bdd& states, const Bdd& within) const {
+  Manager* m = commonManager(*this, states);
+  if (within.manager() != m) {
+    throw std::invalid_argument("BDD operands from different managers");
+  }
+  m->maybeGc();
+  return m->wrap(m->relProductRec(Manager::Op::RelPrev, states.index_, index_,
+                                  within.index_));
 }
 
 Bdd Bdd::rename(std::span<const Var> perm) const {

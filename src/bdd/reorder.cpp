@@ -57,6 +57,14 @@ void Manager::setReorderGroups(std::vector<std::vector<Var>> groups) {
       }
     }
   }
+  // Two-member groups are the (current, next) pairs of the image kernels.
+  pairCur_.assign(varCount_, kTerminalVar);
+  pairNext_.assign(varCount_, kTerminalVar);
+  for (const std::vector<Var>& g : groups) {
+    if (g.size() != 2) continue;
+    pairCur_[g[0]] = pairCur_[g[1]] = g[0];
+    pairNext_[g[0]] = pairNext_[g[1]] = g[1];
+  }
   // Unmentioned variables sift alone.
   for (Var v = 0; v < varCount_; ++v) {
     if (!seen[v]) groups.push_back({v});
@@ -75,6 +83,17 @@ void Manager::setLevelOrder(std::span<const Var> levelToIndex) {
       throw std::invalid_argument("setLevelOrder: not a permutation");
     }
     seen[v] = true;
+  }
+  std::vector<Var> position(varCount_);
+  for (Var l = 0; l < varCount_; ++l) position[levelToIndex[l]] = l;
+  for (const std::vector<Var>& g : reorderGroups_) {
+    const auto [lo, hi] = std::minmax_element(
+        g.begin(), g.end(),
+        [&](Var a, Var b) { return position[a] < position[b]; });
+    if (position[*hi] - position[*lo] + 1 != g.size()) {
+      throw std::invalid_argument(
+          "setLevelOrder: order separates the members of a registered group");
+    }
   }
   buildReorderRefs();
   // Selection by bubbling: fix levels top-down; the variable destined for

@@ -14,6 +14,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -462,6 +463,11 @@ void Server::acceptPending() {
       return;
     }
     setNonBlocking(fd);
+    // Replies are small frames written as they complete; with Nagle on, a
+    // worker's reply behind an inline one would wait for the peer's
+    // delayed ACK (~40 ms).
+    const int one = 1;
+    (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     bump(counters_.sessions, "serve/sessions");
     sessions_.emplace(fd, std::make_shared<Session>(fd, nextSessionId_++));
   }

@@ -64,20 +64,13 @@ Encoding::Encoding(protocol::Protocol proto) : proto_(std::move(proto)) {
   allLevels_.resize(level);
   for (Var l = 0; l < level; ++l) allLevels_[l] = l;
 
-  // The cur<->next renaming swaps each interleaved pair. It is monotone on
-  // any function whose support touches only one side of each pair, which is
-  // the only way we ever use it.
-  permNextToCur_.resize(level);
+  // The cur->next renaming moves each current bit to its pair's next bit.
+  // It is monotone on any function over current levels only, which is the
+  // only way we ever use it.
   permCurToNext_.resize(level);
-  for (VarId v = 0; v < n; ++v) {
-    for (int k = 0; k < bits_[v]; ++k) {
-      const Var c = curLevels_[v][k];
-      const Var x = nextLevels_[v][k];
-      permNextToCur_[x] = c;
-      permNextToCur_[c] = c;
-      permCurToNext_[c] = x;
-      permCurToNext_[x] = x;
-    }
+  for (const auto& [c, x] : bitPairs_) {
+    permCurToNext_[c] = x;
+    permCurToNext_[x] = x;
   }
 
   // Value indicators.
@@ -123,7 +116,6 @@ Encoding::Encoding(protocol::Protocol proto) : proto_(std::move(proto)) {
     unchanged_[v] = eq;
     diagonal_ &= eq;
   }
-  curCube_ = mgr_->cube(allCur_);
   nextCube_ = mgr_->cube(allNext_);
 }
 
@@ -141,7 +133,6 @@ Bdd Encoding::nextValue(VarId v, int value) const {
   return nextValue_[v][value];
 }
 
-Bdd Encoding::nextToCur(const Bdd& f) const { return f.rename(permNextToCur_); }
 Bdd Encoding::curToNext(const Bdd& f) const { return f.rename(permCurToNext_); }
 
 Bdd Encoding::stateBdd(std::span<const int> state) const {

@@ -46,8 +46,9 @@ class Encoding {
 
   /// The interleaved (current, next) bit pairs, one per encoded bit, in
   /// initial level order. Registered with the manager as atomic reorder groups:
-  /// dynamic reordering moves a pair as one block, so the cur<->next
-  /// renaming permutations stay order-preserving under any reorder.
+  /// dynamic reordering moves a pair as one block, so the cur->next
+  /// renaming stays order-preserving under any reorder, and the same
+  /// registration gives Bdd::relNext/relPrev the pairs they step over.
   [[nodiscard]] const std::vector<std::pair<bdd::Var, bdd::Var>>& bitPairs()
       const {
     return bitPairs_;
@@ -70,8 +71,7 @@ class Encoding {
   [[nodiscard]] bdd::Bdd validCur() const { return validCur_; }
   [[nodiscard]] bdd::Bdd validNext() const { return validNext_; }
 
-  /// Quantification cubes.
-  [[nodiscard]] bdd::Bdd curCube() const { return curCube_; }
+  /// Quantification cube of the next-state copy.
   [[nodiscard]] bdd::Bdd nextCube() const { return nextCube_; }
 
   /// x'_v = x_v for a single variable (all its bits).
@@ -82,10 +82,9 @@ class Encoding {
   /// The diagonal: every variable unchanged (self-loop transitions).
   [[nodiscard]] bdd::Bdd diagonal() const { return diagonal_; }
 
-  /// Renames a predicate over next-state levels to current-state levels.
-  /// Precondition: support subset of next levels.
-  [[nodiscard]] bdd::Bdd nextToCur(const bdd::Bdd& f) const;
   /// Renames a predicate over current-state levels to next-state levels.
+  /// (Images need no renaming: Bdd::relNext builds them on the current
+  /// levels.)
   [[nodiscard]] bdd::Bdd curToNext(const bdd::Bdd& f) const;
 
   /// The BDD of a single concrete state (current-state copy).
@@ -131,7 +130,6 @@ class Encoding {
   std::vector<bdd::Var> allCur_;
   std::vector<bdd::Var> allNext_;
   std::vector<bdd::Var> allLevels_;
-  std::vector<bdd::Var> permNextToCur_;
   std::vector<bdd::Var> permCurToNext_;
 
   // Cached indicators: indexed [var][value].
@@ -141,7 +139,6 @@ class Encoding {
   std::vector<bdd::Bdd> unchanged_;
   bdd::Bdd validCur_;
   bdd::Bdd validNext_;
-  bdd::Bdd curCube_;
   bdd::Bdd nextCube_;
   bdd::Bdd diagonal_;
 };

@@ -151,15 +151,25 @@ Bdd SymbolicProtocol::closeGroups(std::size_t j, const Bdd& t) const {
 }
 
 Bdd SymbolicProtocol::image(const Bdd& t, const Bdd& s) const {
+  return image(t, s, manager().trueBdd());
+}
+
+Bdd SymbolicProtocol::image(const Bdd& t, const Bdd& s,
+                            const Bdd& within) const {
   util::checkCancellation();
   ++imageOps_;
-  return enc_.nextToCur(t.andExists(s, enc_.curCube()));
+  return s.relNext(t, within);
 }
 
 Bdd SymbolicProtocol::preimage(const Bdd& t, const Bdd& s) const {
+  return preimage(t, s, manager().trueBdd());
+}
+
+Bdd SymbolicProtocol::preimage(const Bdd& t, const Bdd& s,
+                               const Bdd& within) const {
   util::checkCancellation();
   ++preimageOps_;
-  return t.andExists(enc_.curToNext(s), enc_.nextCube());
+  return t.relPrev(s, within);
 }
 
 Bdd SymbolicProtocol::restrictRel(const Bdd& t, const Bdd& x) const {
@@ -177,7 +187,8 @@ Bdd SymbolicProtocol::sources(const Bdd& t) const {
 }
 
 Bdd SymbolicProtocol::targets(const Bdd& t) const {
-  return enc_.nextToCur(t.exists(enc_.curCube()));
+  const Bdd all = manager().trueBdd();
+  return all.relNext(t, all);
 }
 
 Bdd SymbolicProtocol::deadlocks(const Bdd& t) const {
@@ -251,7 +262,7 @@ BfsLayers backwardBfs(const SymbolicProtocol& sp, const Bdd& rel,
   out.layers.push_back(target);
   Bdd explored = target;
   for (;;) {
-    const Bdd layer = sp.preimage(rel, explored) & valid & !explored;
+    const Bdd layer = sp.preimage(rel, explored, valid) & !explored;
     if (layer.isFalse()) break;
     out.layers.push_back(layer);
     explored |= layer;

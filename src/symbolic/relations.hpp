@@ -88,18 +88,25 @@ class SymbolicProtocol {
   [[nodiscard]] bdd::Bdd hideUnreadables(std::size_t j,
                                          const bdd::Bdd& s) const;
 
-  // The relational products every fixpoint steps through. Each polls the
-  // caller's cancellation token, so no fixpoint runs more than one product
-  // past its deadline, and bumps imageOps()/preimageOps(). T is the whole
-  // relation, never a per-process part: those ran up to 15x slower
-  // (EXPERIMENTS.md, "One transition relation").
+  // The relational products every fixpoint steps through, each one pass of
+  // the fused kernels Bdd::relNext/relPrev over the encoding's (cur, next)
+  // pairs. Each polls the caller's cancellation token, so no fixpoint runs
+  // more than one product past its deadline, and bumps
+  // imageOps()/preimageOps(). T is the whole relation, never a per-process
+  // part: those ran up to 15x slower (EXPERIMENTS.md, "One transition
+  // relation"). The `within` overloads return the product ∧ within and
+  // prune by it inside the kernel, before a branch is expanded.
 
   /// Successors of S under relation T: { s' : exists s in S, (s,s') in T },
   /// expressed over current-state levels.
   [[nodiscard]] bdd::Bdd image(const bdd::Bdd& t, const bdd::Bdd& s) const;
+  [[nodiscard]] bdd::Bdd image(const bdd::Bdd& t, const bdd::Bdd& s,
+                               const bdd::Bdd& within) const;
 
   /// Predecessors of S under T: { s : exists s' in S, (s,s') in T }.
   [[nodiscard]] bdd::Bdd preimage(const bdd::Bdd& t, const bdd::Bdd& s) const;
+  [[nodiscard]] bdd::Bdd preimage(const bdd::Bdd& t, const bdd::Bdd& s,
+                                  const bdd::Bdd& within) const;
 
   /// Products taken since construction (thread-confined like the manager).
   /// A run reports the difference over its own span.

@@ -26,16 +26,18 @@ Lockstep lockstep(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& v,
   // Both searches advance by the image of their newest layer, not of the
   // reached set as backwardBfs does. The swap is a measured loss here
   // (synth_scc, seed 22: bdd.unique_probes +9%, cache lookups +11%,
-  // symbolic.scc_s up; EXPERIMENTS.md), and neutral in cycleCone.
+  // symbolic.scc_s up; EXPERIMENTS.md), and neutral in cycleCone. Each
+  // product is confined to its search set inside the kernel (`within`);
+  // only the already-reached states are subtracted afterwards.
   Bdd fwd = pivot;
   Bdd bwd = pivot;
   Bdd fFront = pivot;
   Bdd bFront = pivot;
 
   while (!fFront.isFalse() && !bFront.isFalse()) {
-    fFront = sp.image(rel, fFront) & v & !fwd;
+    fFront = sp.image(rel, fFront, v) & !fwd;
     fwd |= fFront;
-    bFront = sp.preimage(rel, bFront) & v & !bwd;
+    bFront = sp.preimage(rel, bFront, v) & !bwd;
     bwd |= bFront;
     steps += 2;
   }
@@ -45,7 +47,7 @@ Lockstep lockstep(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& v,
     bwd &= fwd;
     bFront &= fwd;
     while (!bFront.isFalse()) {
-      bFront = sp.preimage(rel, bFront) & fwd & !bwd;
+      bFront = sp.preimage(rel, bFront, fwd) & !bwd;
       bwd |= bFront;
       ++steps;
     }
@@ -54,7 +56,7 @@ Lockstep lockstep(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& v,
   fwd &= bwd;
   fFront &= bwd;
   while (!fFront.isFalse()) {
-    fFront = sp.image(rel, fFront) & bwd & !fwd;
+    fFront = sp.image(rel, fFront, bwd) & !fwd;
     fwd |= fFront;
     ++steps;
   }
@@ -153,7 +155,9 @@ Bdd cycleCone(const SymbolicProtocol& sp, const Bdd& combined,
   const Bdd targets = sp.targets(inDomain);
   std::size_t rounds = 0;
 
-  // Forward closure of the targets under base ∪ delta.
+  // Forward closure of the targets under base ∪ delta. Its product keeps
+  // `& domain` outside the kernel: as `within` it cost coloring(20/30) 5%
+  // more unique-table probes (EXPERIMENTS.md, "Fused image kernels").
   Bdd fwd = targets;
   Bdd frontier = targets;
   while (!frontier.isFalse()) {
@@ -166,7 +170,7 @@ Bdd cycleCone(const SymbolicProtocol& sp, const Bdd& combined,
   Bdd cone = sources & fwd;
   frontier = cone;
   while (!frontier.isFalse()) {
-    frontier = sp.preimage(combined, frontier) & fwd & !cone;
+    frontier = sp.preimage(combined, frontier, fwd) & !cone;
     cone |= frontier;
     ++rounds;
   }

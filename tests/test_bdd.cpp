@@ -1,5 +1,5 @@
 // Unit tests for the BDD substrate: construction, boolean algebra,
-// quantification, relational product, renaming, analyses, garbage
+// quantification, relational products, renaming, analyses, garbage
 // collection, and the operation cache's growth.
 #include <gtest/gtest.h>
 
@@ -166,6 +166,154 @@ TEST(BddQuantify, AndExistsEqualsComposition) {
   const std::vector<Var> q{2, 3};
   const Bdd cube = m.cube(q);
   EXPECT_TRUE(f.andExists(g, cube) == (f & g).exists(cube));
+}
+
+// ---------------------------------------------------------------------------
+// Fused image kernels against the formulas they replace: an AndExists on
+// the next levels renamed back (image), and a rename forward before an
+// AndExists (preimage), then the constraint.
+// ---------------------------------------------------------------------------
+
+/// Pair i is (current 2i, next 2i + 1), registered as the encoding does.
+constexpr Var kPairs = 5;
+
+void registerPairs(Manager& m) {
+  std::vector<std::vector<Var>> groups;
+  for (Var i = 0; i < kPairs; ++i) groups.push_back({2 * i, 2 * i + 1});
+  m.setReorderGroups(std::move(groups));
+}
+
+/// A random function over the current copies (currentOnly) or all pairs.
+Bdd randomPairFunction(Manager& m, stsyn::util::Rng& rng, bool currentOnly) {
+  Bdd f = rng.flip() ? m.trueBdd() : m.falseBdd();
+  for (int i = 0; i < 8; ++i) {
+    const auto v = static_cast<Var>(currentOnly ? 2 * rng.below(kPairs)
+                                                : rng.below(2 * kPairs));
+    Bdd lit = m.var(v);
+    if (rng.flip()) lit = !lit;
+    switch (rng.below(3)) {
+      case 0: f = f & lit; break;
+      case 1: f = f | lit; break;
+      default: f = f ^ lit; break;
+    }
+  }
+  return f;
+}
+
+Bdd imageReference(Manager& m, const Bdd& s, const Bdd& r, const Bdd& c) {
+  std::vector<Var> toCur = levels(2 * kPairs);
+  std::vector<Var> cur;
+  for (Var i = 0; i < kPairs; ++i) {
+    toCur[2 * i + 1] = 2 * i;
+    cur.push_back(2 * i);
+  }
+  return (s & r).exists(m.cube(cur)).rename(toCur) & c;
+}
+
+Bdd preimageReference(Manager& m, const Bdd& r, const Bdd& s, const Bdd& c) {
+  std::vector<Var> toNext = levels(2 * kPairs);
+  std::vector<Var> next;
+  for (Var i = 0; i < kPairs; ++i) {
+    toNext[2 * i] = 2 * i + 1;
+    next.push_back(2 * i + 1);
+  }
+  return (r & s.rename(toNext)).exists(m.cube(next)) & c;
+}
+
+/// Every sign and terminal combination of random S, R and C.
+void expectKernelsMatchReference(Manager& m, std::uint64_t seed) {
+  stsyn::util::Rng rng(seed);
+  for (int trial = 0; trial < 20; ++trial) {
+    const Bdd s = randomPairFunction(m, rng, true);
+    const Bdd r = randomPairFunction(m, rng, false);
+    const Bdd c = randomPairFunction(m, rng, true);
+    const std::array<Bdd, 4> ss{s, !s, m.trueBdd(), m.falseBdd()};
+    const std::array<Bdd, 4> rs{r, !r, m.trueBdd(), m.falseBdd()};
+    const std::array<Bdd, 4> cs{c, !c, m.trueBdd(), m.falseBdd()};
+    for (const Bdd& si : ss) {
+      for (const Bdd& ri : rs) {
+        for (const Bdd& ci : cs) {
+          EXPECT_EQ(si.relNext(ri, ci), imageReference(m, si, ri, ci))
+              << "trial " << trial;
+          EXPECT_EQ(ri.relPrev(si, ci), preimageReference(m, ri, si, ci))
+              << "trial " << trial;
+        }
+      }
+    }
+  }
+  m.checkInvariants();
+}
+
+/// Pair blocks dealt from the two halves of the layout (0, P/2, 1, ...),
+/// current bit on top unless `nextOnTop`.
+std::vector<Var> dealtPairOrder(bool nextOnTop) {
+  std::vector<Var> order;
+  const Var half = (kPairs + 1) / 2;
+  for (Var i = 0; i < half; ++i) {
+    for (const Var p : {i, half + i}) {
+      if (p >= kPairs) continue;
+      order.push_back(nextOnTop ? 2 * p + 1 : 2 * p);
+      order.push_back(nextOnTop ? 2 * p : 2 * p + 1);
+    }
+  }
+  return order;
+}
+
+TEST(BddRelProduct, MatchesReferenceUnderTheDeclaredLayout) {
+  Manager m(2 * kPairs);
+  registerPairs(m);
+  expectKernelsMatchReference(m, 11);
+}
+
+TEST(BddRelProduct, MatchesReferenceUnderTheDealtPairLayout) {
+  Manager m(2 * kPairs);
+  registerPairs(m);
+  m.setLevelOrder(dealtPairOrder(false));
+  expectKernelsMatchReference(m, 12);
+}
+
+TEST(BddRelProduct, MatchesReferenceWithTheNextBitOnTop) {
+  // The kernel relies only on adjacency: it cofactors whichever member of
+  // a pair is upper first.
+  Manager m(2 * kPairs);
+  registerPairs(m);
+  m.setLevelOrder(dealtPairOrder(true));
+  expectKernelsMatchReference(m, 13);
+}
+
+TEST(BddRelProduct, MatchesReferenceAfterAForcedSift) {
+  Manager m(2 * kPairs);
+  registerPairs(m);
+  const std::vector<Var> dealt = dealtPairOrder(false);
+  m.setLevelOrder(dealt);
+  // Entangle neighbouring pairs so sifting moves blocks off the dealt
+  // order, then check the kernels on functions that lived through it.
+  Bdd keep = m.falseBdd();
+  for (Var i = 0; i + 1 < kPairs; ++i) {
+    keep |= m.var(2 * i) & m.var(2 * (i + 1) + 1);
+  }
+  m.reorderNow();
+  ASSERT_NE(m.currentOrder(), dealt);
+  const Bdd r = keep ^ m.var(1);
+  const Bdd s = m.var(0) | !m.var(4);
+  EXPECT_EQ(s.relNext(r, m.trueBdd()), imageReference(m, s, r, m.trueBdd()));
+  EXPECT_EQ(r.relPrev(s, !s), preimageReference(m, r, s, !s));
+  expectKernelsMatchReference(m, 14);
+}
+
+TEST(BddRelProduct, RejectsOperandsOutsideThePairs) {
+  Manager m(2 * kPairs + 1);  // the last variable belongs to no pair
+  registerPairs(m);
+  const Bdd unpaired = m.var(2 * kPairs);
+  EXPECT_THROW((void)m.trueBdd().relNext(unpaired, m.trueBdd()),
+               std::logic_error);
+  EXPECT_THROW((void)unpaired.relPrev(m.trueBdd(), m.trueBdd()),
+               std::logic_error);
+  // The state operands range over current bits only.
+  const Bdd next = m.var(1);
+  EXPECT_THROW((void)next.relNext(m.var(0) ^ m.var(3), m.trueBdd()),
+               std::logic_error);
+  EXPECT_THROW((void)m.var(3).relPrev(m.trueBdd(), next), std::logic_error);
 }
 
 TEST(BddRename, ShiftWithinSupportOrder) {

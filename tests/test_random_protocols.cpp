@@ -244,9 +244,20 @@ INSTANTIATE_TEST_SUITE_P(Seeds, AnalysisParity,
 // Image-layer reference: SymbolicProtocol's counted products must equal
 // their spelled-out formulas BDD for BDD, on the whole relation and on a
 // restricted one (the SCC trim loop's shape), and each product must count
-// exactly once. (The suite is named for the engine class that used to wrap
-// these products.)
+// exactly once; the `within` overloads must equal the product ∧ within.
+// The formulas are the ones the fused kernels replaced: an AndExists on
+// the next levels renamed back, and a rename forward before an AndExists.
+// (The suite is named for the engine class that used to wrap these
+// products.)
 // ---------------------------------------------------------------------------
+
+/// Renames a next-state predicate to the current levels.
+bdd::Bdd nextToCur(const symbolic::Encoding& enc, const bdd::Bdd& f) {
+  std::vector<bdd::Var> perm(enc.manager().varCount());
+  std::iota(perm.begin(), perm.end(), bdd::Var{0});
+  for (const auto& [cur, next] : enc.bitPairs()) perm[next] = cur;
+  return f.rename(perm);
+}
 
 class ImageEngineReference
     : public ::testing::TestWithParam<std::uint64_t> {};
@@ -265,9 +276,15 @@ TEST_P(ImageEngineReference, ProductsAgreeBddForBdd) {
     }
     const std::string where = "seed " + std::to_string(GetParam()) +
                               " instance " + std::to_string(instance);
+    const bdd::Bdd curCube = enc.manager().cube(enc.allCurLevels());
+    const auto image = [&](const bdd::Bdd& s) {
+      return nextToCur(enc, (rel & s).exists(curCube));
+    };
+    const auto preimage = [&](const bdd::Bdd& s) {
+      return (rel & enc.curToNext(s)).exists(enc.nextCube());
+    };
     EXPECT_EQ(sp.sources(rel), rel.exists(enc.nextCube())) << where;
-    EXPECT_EQ(sp.targets(rel), enc.nextToCur(rel.exists(enc.curCube())))
-        << where;
+    EXPECT_EQ(sp.targets(rel), nextToCur(enc, rel.exists(curCube))) << where;
 
     const bdd::Bdd inv = sp.invariant();
     const bdd::Bdd valid = sp.enc().validCur();
@@ -280,12 +297,8 @@ TEST_P(ImageEngineReference, ProductsAgreeBddForBdd) {
     const std::size_t images0 = sp.imageOps();
     const std::size_t preimages0 = sp.preimageOps();
     for (const bdd::Bdd& s : sets) {
-      EXPECT_EQ(sp.image(rel, s),
-                enc.nextToCur((rel & s).exists(enc.curCube())))
-          << where;
-      EXPECT_EQ(sp.preimage(rel, s),
-                (rel & enc.curToNext(s)).exists(enc.nextCube()))
-          << where;
+      EXPECT_EQ(sp.image(rel, s), image(s)) << where;
+      EXPECT_EQ(sp.preimage(rel, s), preimage(s)) << where;
       EXPECT_EQ(sp.image(restrictedRel, s), sp.image(rel, s & notI) & notI)
           << where;
       EXPECT_EQ(sp.preimage(restrictedRel, s),
@@ -294,6 +307,22 @@ TEST_P(ImageEngineReference, ProductsAgreeBddForBdd) {
     }
     EXPECT_EQ(sp.imageOps() - images0, 3 * sets.size()) << where;
     EXPECT_EQ(sp.preimageOps() - preimages0, 3 * sets.size()) << where;
+
+    // The within overloads, each within set against each state set (the
+    // complemented ones included), counted once per product.
+    const std::vector<bdd::Bdd> withins{enc.manager().trueBdd(), valid, inv,
+                                        notI, !inv, sp.image(rel, notI)};
+    const std::size_t images1 = sp.imageOps();
+    const std::size_t preimages1 = sp.preimageOps();
+    for (const bdd::Bdd& s : sets) {
+      for (const bdd::Bdd& w : withins) {
+        EXPECT_EQ(sp.image(rel, s, w), image(s) & w) << where;
+        EXPECT_EQ(sp.preimage(rel, s, w), preimage(s) & w) << where;
+      }
+    }
+    EXPECT_EQ(sp.imageOps() - images1, sets.size() * withins.size()) << where;
+    EXPECT_EQ(sp.preimageOps() - preimages1, sets.size() * withins.size())
+        << where;
   }
 }
 

@@ -117,6 +117,26 @@ TEST(Reorder, RejectsMalformedGroups) {
   EXPECT_THROW(m.setReorderGroups({{}}), std::invalid_argument);
 }
 
+TEST(Reorder, SetLevelOrderRejectsASplitGroup) {
+  // A layout that separates a registered pair would let renames and the
+  // fused image kernels build malformed BDDs, so it is refused up front.
+  Manager m(4);
+  m.setReorderGroups({{0, 1}, {2, 3}});
+  const Bdd f = (m.var(0) & m.var(3)) | m.var(1);
+  const std::vector<Var> split{0, 2, 1, 3};
+  EXPECT_THROW(m.setLevelOrder(split), std::invalid_argument);
+  EXPECT_TRUE(m.orderIsIdentity());
+  m.checkInvariants();
+  // Moving whole pairs, or flipping members inside a pair, is accepted.
+  const std::vector<Var> swapped{2, 3, 0, 1};
+  m.setLevelOrder(swapped);
+  EXPECT_EQ(m.currentOrder(), swapped);
+  const std::vector<Var> flipped{1, 0, 3, 2};
+  m.setLevelOrder(flipped);
+  EXPECT_EQ(m.currentOrder(), flipped);
+  EXPECT_EQ(f, (m.var(0) & m.var(3)) | m.var(1));
+}
+
 TEST(Reorder, OperationsAndAnalysesAgreeAfterReorder) {
   constexpr Var kN = 5;
   Manager m(2 * kN);

@@ -11,6 +11,7 @@
 //    byte-for-byte identical result document.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -344,6 +345,35 @@ TEST(ServeV2, PipelinedRequestsCompleteAndCorrelateById) {
   EXPECT_TRUE(byId.at("2").find("result")->find("success")->boolean);
   EXPECT_EQ(byId.at("three").find("verb")->str, "pong");
   EXPECT_EQ(byId.at("4").find("verb")->str, "lint");
+}
+
+TEST(ServeV2, ReplyAfterAnInlineReplyIsNotHeldByNagle) {
+  // A ping is answered inline by the event loop and a synthesize by a
+  // worker moments later. Without TCP_NODELAY on the server's socket the
+  // second small frame waits for the ACK of the first, which a client
+  // with Nagle on (the default here) delays by ~40 ms. Distinct protocol
+  // names keep every synthesize a cache miss, so it really goes through
+  // a worker.
+  RunningServer rs(smallServer());
+  PipelinedClient c(rs.port());
+  ASSERT_TRUE(c.connected());
+  std::vector<double> secondReplyMs;
+  for (int i = 0; i < 10; ++i) {
+    protocol::Protocol p = casestudies::tokenRing(3, 2);
+    p.name = "nagle_" + std::to_string(i);
+    std::string burst = serve::encodeFrame(R"({"verb":"ping"})");
+    burst += serve::encodeFrame(synthesizeRequest(lang::printProtocol(p)));
+    const auto start = std::chrono::steady_clock::now();
+    c.sendRaw(burst);
+    (void)c.receive();
+    (void)c.receive();
+    secondReplyMs.push_back(std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - start)
+                                .count());
+  }
+  std::sort(secondReplyMs.begin(), secondReplyMs.end());
+  EXPECT_LT(secondReplyMs[secondReplyMs.size() / 2], 20.0)
+      << "median time to the second reply, ms";
 }
 
 TEST(ServeV2, BadIdShapesAreRejected) {
