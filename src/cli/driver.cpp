@@ -17,6 +17,7 @@
 #include "obs/json.hpp"
 #include "symbolic/relations.hpp"
 #include "util/cancel.hpp"
+#include "util/timer.hpp"
 #include "verify/counterexample.hpp"
 #include "verify/verify.hpp"
 
@@ -59,7 +60,16 @@ int runVerify(const protocol::Protocol& p,
               const symbolic::Encoding& enc, Report& report,
               std::ostream& out) {
   report.mode = "verify";
+  const util::Stopwatch total;
+  const std::size_t imageOps0 = sp.imageOps();
+  const std::size_t preimageOps0 = sp.preimageOps();
   const verify::Report rep = verify::check(sp, sp.protocolRelation());
+  report.stats.totalSeconds = total.seconds();
+  report.stats.imageOps = sp.imageOps() - imageOps0;
+  report.stats.preimageOps = sp.preimageOps() - preimageOps0;
+  report.stats.sccComponentsFound = rep.cycles.size();
+  report.stats.copyManagerStats(sp.manager().stats());
+  report.haveStats = true;
   print(out, "closure of I:        %s\n", rep.closed ? "yes" : "NO");
   print(out, "deadlock-free in ~I: %s (%.0f deadlocks)\n",
         rep.deadlockFree ? "yes" : "NO", enc.countStates(rep.deadlocks));
@@ -132,26 +142,16 @@ int runPortfolio(const protocol::Protocol& p, const Options& opt,
   core::PortfolioOptions popt;
   popt.threads = opt.portfolio;
   popt.strong = opt.strong;
-  popt.orbitPrune = opt.orbitPrune;
   const core::PortfolioResult pr =
       core::synthesizePortfolio(p, schedules, popt);
   report.havePortfolio = true;
   report.portfolioWinner = pr.winner;
   report.portfolioWallSeconds = pr.wallSeconds;
-  report.portfolioOrbitPrune = opt.orbitPrune;
-  report.portfolioSymmetryOrbits = pr.symmetryOrbits;
-  report.portfolioSchedulesPruned = pr.schedulesPruned();
   for (const core::PortfolioInstance& inst : pr.instances) {
     report.portfolioRows.push_back({core::toString(inst.schedule), inst.ran,
-                                    inst.result.success, inst.pruned,
+                                    inst.result.success,
                                     inst.result.stats.passCompleted,
                                     inst.wallSeconds});
-  }
-  if (opt.orbitPrune) {
-    print(out,
-          "orbit pruning: %zu symmetry orbits, %zu of %zu schedule "
-          "instances pruned\n",
-          pr.symmetryOrbits, pr.schedulesPruned(), pr.instances.size());
   }
   if (const core::SynthesisStats* ws = pr.winnerStats()) {
     report.stats = *ws;
@@ -266,12 +266,6 @@ std::string Report::renderStatsJson() const {
     std::uint64_t ran = 0;
     for (const PortfolioRow& row : portfolioRows) ran += row.ran ? 1 : 0;
     w.field("instances_run", ran);
-    if (portfolioOrbitPrune) {
-      w.field("symmetry_orbits",
-              static_cast<std::uint64_t>(portfolioSymmetryOrbits));
-      w.field("schedules_pruned",
-              static_cast<std::uint64_t>(portfolioSchedulesPruned));
-    }
     w.key("instances");
     w.beginArray();
     for (const PortfolioRow& row : portfolioRows) {
@@ -279,7 +273,6 @@ std::string Report::renderStatsJson() const {
       w.field("schedule", row.schedule);
       w.field("ran", row.ran);
       w.field("success", row.success);
-      if (portfolioOrbitPrune) w.field("pruned", row.pruned);
       w.field("pass", row.pass);
       w.field("wall_seconds", row.wallSeconds);
       w.endObject();

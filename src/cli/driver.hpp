@@ -26,7 +26,6 @@ struct PortfolioRow {
   std::string schedule;
   bool ran = false;
   bool success = false;
-  bool pruned = false;
   int pass = 0;
   double wallSeconds = 0.0;
 };
@@ -57,9 +56,6 @@ struct Report {
   bool havePortfolio = false;
   std::size_t portfolioWinner = SIZE_MAX;
   double portfolioWallSeconds = 0.0;
-  bool portfolioOrbitPrune = false;
-  std::size_t portfolioSymmetryOrbits = 0;
-  std::size_t portfolioSchedulesPruned = 0;
   std::vector<PortfolioRow> portfolioRows;
 
   /// Renders the stats JSON document (one line, no trailing newline).

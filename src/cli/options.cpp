@@ -21,7 +21,7 @@ std::optional<std::uint64_t> parseUint(std::string_view s,
 
 int usage(std::ostream& err) {
   err << "usage: stsyn <protocol.stsyn> [--weak | --verify]"
-         " [--schedule P1,P0,... | --portfolio N [--orbit-prune]]"
+         " [--schedule P1,P0,... | --portfolio N]"
          " [--max-pass N] [--no-greedy] [--timeout MS]"
          " [--explain] [--print] [--quiet]"
          " [--output FILE] [--stats-json FILE] [--trace FILE]\n"
@@ -115,8 +115,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       out.explain = true;
     } else if (valueFlag("--schedule")) {
       out.scheduleArg = argv[++i];
-    } else if (!std::strcmp(a, "--orbit-prune")) {
-      out.orbitPrune = true;
     } else if (valueFlag("--output")) {
       out.outputPath = argv[++i];
     } else if (valueFlag("--stats-json")) {
@@ -201,10 +199,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
   }
 
   out.portfolio = portfolio;
-  if (out.orbitPrune && portfolio == 0) {
-    err << "stsyn: --orbit-prune requires --portfolio\n";
-    return 2;
-  }
   if (!out.scheduleArg.empty() && portfolio > 0) {
     err << "stsyn: --schedule conflicts with --portfolio (every portfolio "
            "instance runs its own schedule)\n";

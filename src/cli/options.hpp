@@ -57,7 +57,6 @@ struct Options {
   // Synthesis.
   core::StrongOptions strong;
   unsigned portfolio = 0;
-  bool orbitPrune = false;
   bool explain = false;
   bool quiet = false;
   bool print = false;

@@ -23,11 +23,6 @@ struct PortfolioInstance {
   /// False when the instance was never claimed because an earlier schedule
   /// had already succeeded (early exit); `result` is default-constructed.
   bool ran = false;
-  /// True when orbit pruning deferred this instance: an earlier schedule
-  /// has the same orbit signature, so this one runs only in the fallback
-  /// phase (after every representative failed). A pruned instance that
-  /// did run in the fallback has both pruned and ran set.
-  bool pruned = false;
   /// Wall-clock seconds this instance's synthesis took; 0 when skipped.
   /// Summed over ran instances vs. `PortfolioResult::wallSeconds` this
   /// measures the portfolio's parallel speedup and early-exit savings.
@@ -41,22 +36,8 @@ struct PortfolioResult {
   std::vector<PortfolioInstance> instances;
   /// Wall-clock seconds of the whole portfolio run (claim + join).
   double wallSeconds = 0.0;
-  /// Number of process symmetry orbits found when orbit pruning was on
-  /// (0 when pruning was disabled).
-  std::size_t symmetryOrbits = 0;
 
   [[nodiscard]] bool success() const { return winner != SIZE_MAX; }
-
-  /// Instances orbit pruning actually saved: deferred to the fallback
-  /// phase and never run (because a representative succeeded first, or
-  /// the whole portfolio was decided before the fallback).
-  [[nodiscard]] std::size_t schedulesPruned() const {
-    std::size_t n = 0;
-    for (const PortfolioInstance& inst : instances) {
-      n += (inst.pruned && !inst.ran) ? 1 : 0;
-    }
-    return n;
-  }
 
   /// The winning instance's synthesis stats, or nullptr when every
   /// schedule failed.
@@ -79,15 +60,6 @@ struct PortfolioOptions {
   /// Heuristic options every instance runs with (--max-pass, --no-greedy);
   /// each instance replaces `schedule` with its own.
   StrongOptions strong;
-  /// Dedupe schedules equivalent under process symmetry orbits
-  /// (analysis::computeOrbits): of each group of schedules with equal
-  /// orbit signatures only the earliest runs up front; the rest are
-  /// deferred to a fallback phase that runs ONLY if every representative
-  /// failed. Orbits are a necessary-condition equivalence, so the
-  /// fallback keeps the portfolio's success equal to the unpruned run's;
-  /// on truly symmetric protocols the fallback never fires and the
-  /// pruned instances are pure savings.
-  bool orbitPrune = false;
 };
 
 /// Runs the heuristic once per schedule, one instance per schedule in
@@ -97,8 +69,7 @@ struct PortfolioOptions {
 /// is independent of the thread interleaving, and the winner is the first
 /// successful instance in claim order (claims are handed out in
 /// increasing order, so a skipped index always has a successful — and
-/// fully run — instance below it; with orbit pruning, representatives
-/// claim before fallback instances). On return every instance's BDD
+/// fully run — instance below it). On return every instance's BDD
 /// manager is re-pinned to the calling thread, so results are safe to
 /// read and destroy here.
 [[nodiscard]] PortfolioResult synthesizePortfolio(

@@ -35,7 +35,10 @@ namespace stsyn::core {
 /// v6: the key naming the encoding's variable-order seed is gone with the
 /// seed: every encoding lays its variables out in declaration order (see
 /// docs/observability.md).
-inline constexpr int kStatsJsonSchemaVersion = 6;
+/// v7: the portfolio object's `symmetry_orbits`, `schedules_pruned` and
+/// per-instance `pruned` keys are gone with orbit pruning (see
+/// docs/observability.md).
+inline constexpr int kStatsJsonSchemaVersion = 7;
 
 struct SynthesisStats {
   double rankingSeconds = 0.0;

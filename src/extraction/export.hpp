@@ -3,9 +3,9 @@
 // toProtocol() reassembles a complete, self-contained Protocol from a
 // synthesis result: the original guarded commands plus the extracted
 // recovery actions. The result can be printed to .stsyn text
-// (lang::printProtocol), re-parsed, re-verified, simulated, or refined to
-// message passing — closing the loop between the synthesizer's symbolic
-// output and every other part of the toolchain.
+// (lang::printProtocol), re-parsed, re-verified or simulated — closing the
+// loop between the synthesizer's symbolic output and every other part of
+// the toolchain.
 #pragma once
 
 #include "extraction/actions.hpp"

@@ -2,11 +2,10 @@
 //
 // A synthesize request is cached under the CANONICAL form of its input,
 // not its bytes: the parsed protocol is round-tripped through the printer
-// (so whitespace, comments and formatting differences collapse), extended
-// with the process-orbit shape signatures from analysis/staticinfo (a
-// cheap semantic fingerprint that distinguishes protocols the printer
-// might render alike after renaming), and concatenated with the request's
-// option fingerprint. Entries are LRU-evicted; the full canonical key is
+// (so whitespace, comments and formatting differences collapse; the
+// printed text names every domain, read and write set, action, local
+// predicate and the invariant) and concatenated with the request's option
+// fingerprint. Entries are LRU-evicted; the full canonical key is
 // stored alongside the 64-bit hash so a hash collision degrades to a
 // cache miss, never to a wrong answer.
 #pragma once

@@ -19,7 +19,6 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "analysis/staticinfo.hpp"
 #include "cli/driver.hpp"
 #include "core/stats.hpp"
 #include "lang/parser.hpp"
@@ -129,12 +128,6 @@ bool applyRequestOptions(const obs::JsonValue& opts, cli::Options& o,
         return false;
       }
       portfolio = static_cast<unsigned>(n);
-    } else if (key == "orbit_prune") {
-      if (!getBool(value, b)) {
-        error = "orbit_prune must be a boolean";
-        return false;
-      }
-      o.orbitPrune = b;
     } else if (key == "schedule") {
       if (value.kind != obs::JsonValue::Kind::String) {
         error = "schedule must be a string";
@@ -159,10 +152,6 @@ bool applyRequestOptions(const obs::JsonValue& opts, cli::Options& o,
     }
   }
   o.portfolio = portfolio;
-  if (o.orbitPrune && portfolio == 0) {
-    error = "orbit_prune requires portfolio > 0";
-    return false;
-  }
   if (!o.scheduleArg.empty() && portfolio > 0) {
     error = "schedule conflicts with portfolio (every portfolio instance "
             "runs its own schedule)";
@@ -216,24 +205,17 @@ std::string optionsFingerprint(const cli::Options& o) {
   key << "schema=" << core::kStatsJsonSchemaVersion
       << ";mode=" << static_cast<int>(o.mode) << ";maxPass=" << o.strong.maxPass
       << ";greedy=" << o.strong.greedyCycleResolution
-      << ";portfolio=" << o.portfolio << ";orbitPrune=" << o.orbitPrune
-      << ";schedule=" << o.scheduleArg;
+      << ";portfolio=" << o.portfolio << ";schedule=" << o.scheduleArg;
   return key.str();
 }
 
 /// The canonical cache key: printer round-trip of the parsed protocol
-/// (formatting-insensitive), the orbit shape signatures (a semantic
-/// fingerprint of process interchangeability), and the option string.
+/// (formatting-insensitive; it prints every domain, read and write set,
+/// action, local predicate and the invariant) and the option string.
 std::string canonicalKey(const protocol::Protocol& p,
                          const cli::Options& opt) {
   std::string key = lang::printProtocol(p);
-  key += "\n--orbits--\n";
-  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
-  for (const std::string& shape : orbits.shapes) {
-    key += shape;
-    key += '\n';
-  }
-  key += "--options--\n";
+  key += "\n--options--\n";
   key += optionsFingerprint(opt);
   return key;
 }

@@ -42,7 +42,6 @@
 #include "lang/parser.hpp"               // IWYU pragma: export
 #include "lang/printer.hpp"              // IWYU pragma: export
 #include "protocol/builder.hpp"          // IWYU pragma: export
-#include "refinement/message_passing.hpp"  // IWYU pragma: export
 #include "symbolic/decode.hpp"           // IWYU pragma: export
 #include "verify/counterexample.hpp"     // IWYU pragma: export
 #include "verify/verify.hpp"             // IWYU pragma: export

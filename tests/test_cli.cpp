@@ -173,7 +173,7 @@ TEST(ParseArgs, UsageNamesEveryAcceptedFlag) {
        it != std::sregex_iterator(); ++it) {
     flags.insert((*it)[1].str());
   }
-  EXPECT_GE(flags.size(), 24u);
+  EXPECT_GE(flags.size(), 23u);
   for (const std::string& flag : flags) {
     EXPECT_NE(usageText.str().find(flag), std::string::npos)
         << flag << " is missing from the usage text";
@@ -200,8 +200,14 @@ TEST(ParseArgs, ConflictingAndUnknownFlags) {
   EXPECT_EQ(parse({"p.stsyn", "--weak", "--verify"}, opt), 2);
   opt = {};
   EXPECT_EQ(parse({"p.stsyn", "--frobnicate"}, opt), 2);
+  // --orbit-prune was removed: it is now an unknown option.
   opt = {};
-  EXPECT_EQ(parse({"p.stsyn", "--orbit-prune"}, opt), 2);
+  std::string err;
+  EXPECT_EQ(parse({"p.stsyn", "--portfolio", "2", "--orbit-prune"}, opt, &err),
+            2);
+  EXPECT_EQ(err.rfind("stsyn: unknown option '--orbit-prune'\nusage:", 0),
+            0u)
+      << err;
 }
 
 TEST(Driver, DeadlineConvertsToReportNotException) {
@@ -293,6 +299,76 @@ TEST(Driver, WeakModeStatsCarryManagerCounters) {
   EXPECT_GT(stats->find("cache_stores")->number, 0.0);
   EXPECT_GT(stats->find("unique_probes")->number, 0.0);
   EXPECT_GT(stats->find("peak_live_nodes")->number, 0.0);
+}
+
+/// The sorted keys of a JSON object.
+std::set<std::string> keysOf(const obs::JsonValue& object) {
+  std::set<std::string> keys;
+  for (const auto& [key, value] : object.members) keys.insert(key);
+  return keys;
+}
+
+TEST(Driver, VerifyModeWritesTheStatsObject) {
+  // --verify --stats-json used to end the document after
+  // deadline_exceeded: the check's SCC search and BFS went uncounted.
+  const protocol::Protocol p = lang::parseProtocolFile(
+      STSYN_PROTOCOL_DIR "/matching5_gouda_acharya.stsyn");
+  cli::Options opt;
+  opt.mode = cli::Mode::Verify;
+  opt.quiet = true;
+  cli::Report report;
+  std::ostringstream console;
+  const cli::RunOutcome r = cli::runProtocol(p, opt, report, console, console);
+  EXPECT_EQ(r.exitCode, 1) << console.str();  // the flawed protocol
+  std::string err;
+  const auto doc = obs::parseJson(report.renderStatsJson(), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  EXPECT_EQ(doc->find("mode")->str, "verify");
+  const obs::JsonValue* stats = doc->find("stats");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_GT(stats->find("preimage_ops")->number, 0.0);
+  EXPECT_GT(stats->find("cache_lookups")->number, 0.0);
+  EXPECT_GT(stats->find("scc_components_found")->number, 0.0);
+
+  // The same key set as a synthesis run's stats object.
+  cli::Options strong;
+  strong.quiet = true;
+  const protocol::Protocol ring =
+      lang::parseProtocolFile(STSYN_PROTOCOL_DIR "/token_ring4.stsyn");
+  cli::Report strongReport;
+  ASSERT_EQ(cli::runProtocol(ring, strong, strongReport, console, console)
+                .exitCode,
+            0);
+  const auto strongDoc = obs::parseJson(strongReport.renderStatsJson(), &err);
+  ASSERT_TRUE(strongDoc.has_value()) << err;
+  EXPECT_EQ(keysOf(*stats), keysOf(*strongDoc->find("stats")));
+}
+
+TEST(Driver, PortfolioDocumentHasNoOrbitPruningKeys) {
+  const protocol::Protocol p =
+      lang::parseProtocolFile(STSYN_PROTOCOL_DIR "/token_ring4.stsyn");
+  cli::Options opt;
+  opt.quiet = true;
+  opt.portfolio = 2;
+  cli::Report report;
+  std::ostringstream console;
+  ASSERT_EQ(cli::runProtocol(p, opt, report, console, console).exitCode, 0)
+      << console.str();
+  std::string err;
+  const auto doc = obs::parseJson(report.renderStatsJson(), &err);
+  ASSERT_TRUE(doc.has_value()) << err;
+  const obs::JsonValue* portfolio = doc->find("portfolio");
+  ASSERT_NE(portfolio, nullptr);
+  EXPECT_EQ(keysOf(*portfolio),
+            (std::set<std::string>{"winner", "wall_seconds", "instances_run",
+                                   "instances"}));
+  const obs::JsonValue* instances = portfolio->find("instances");
+  ASSERT_NE(instances, nullptr);
+  ASSERT_EQ(instances->items.size(), 4u);
+  for (const obs::JsonValue& row : instances->items) {
+    EXPECT_EQ(keysOf(row), (std::set<std::string>{"schedule", "ran", "success",
+                                                  "pass", "wall_seconds"}));
+  }
 }
 
 }  // namespace

@@ -371,13 +371,14 @@ TEST(StatsJson, WriteJsonRoundTripsEveryField) {
   EXPECT_DOUBLE_EQ(doc->find("preimage_ops")->number, 13.0);
   EXPECT_DOUBLE_EQ(doc->find("frontier_steps")->number, 6.0);
   // v3 dropped the parallel image pool's keys, v4 the image policy's, v6
-  // the variable-order seed's.
+  // the variable-order seed's (v7's removals are portfolio keys; see
+  // Driver.PortfolioDocumentHasNoOrbitPruningKeys in test_cli).
   for (const char* removed :
        {"image_workers", "transfer_nodes", "reduce_depth", "image_policy",
         "image_part_products", "var_order"}) {
     EXPECT_EQ(doc->find(removed), nullptr) << removed;
   }
-  EXPECT_EQ(core::kStatsJsonSchemaVersion, 6);
+  EXPECT_EQ(core::kStatsJsonSchemaVersion, 7);
 }
 
 // The human-readable summary is consumed by eyeballs and by the existing

@@ -1,15 +1,12 @@
 // Tests for schedule-portfolio synthesis (the paper's Figure 1: one
-// heuristic instance per schedule, run in parallel) and its orbit-based
-// schedule pruning.
+// heuristic instance per schedule, run in parallel).
 #include <gtest/gtest.h>
 
-#include "analysis/staticinfo.hpp"
 #include "protocol/builder.hpp"
 #include "casestudies/matching.hpp"
 #include "casestudies/token_ring.hpp"
 #include "core/portfolio.hpp"
 #include "core/schedule.hpp"
-#include "extraction/actions.hpp"
 #include "symbolic/decode.hpp"
 #include "verify/verify.hpp"
 
@@ -218,122 +215,6 @@ TEST(Portfolio, NoInstanceClaimedAfterASuccessIsObserved) {
     for (std::size_t i = 0; i <= r.winner; ++i) {
       EXPECT_TRUE(r.instances[i].ran) << "threads=" << threads;
     }
-  }
-}
-
-/// The winning instance's extracted guarded-command program, rendered as
-/// one string — the byte-identical artifact the orbit-pruning acceptance
-/// criterion compares.
-std::string extractedProgram(const core::PortfolioResult& r,
-                             const protocol::Protocol& p) {
-  const auto& win = r.instances[r.winner];
-  const std::vector<extraction::ProcessActions> all =
-      extraction::extractAllActions(*win.symbolic,
-                                    win.result.addedPerProcess);
-  std::string out;
-  for (const extraction::ProcessActions& pa : all) {
-    out += extraction::formatActions(p, pa);
-    out += '\n';
-  }
-  return out;
-}
-
-TEST(Portfolio, OrbitPruningDedupesSymmetricSchedules) {
-  // Acceptance: on token_ring(4) over all 24 schedules, the orbit
-  // signature (position of the distinguished P0 among three
-  // interchangeable others) collapses to 4 representatives — 20 instances
-  // pruned — and the winner's extracted program is byte-identical to the
-  // unpruned run's.
-  const protocol::Protocol p = casestudies::tokenRing(4, 3);
-  const std::vector<Schedule> schedules = core::allSchedules(4);
-
-  core::PortfolioOptions plain;
-  plain.threads = 2;
-  const core::PortfolioResult full =
-      core::synthesizePortfolio(p, schedules, plain);
-
-  core::PortfolioOptions pruning;
-  pruning.threads = 2;
-  pruning.orbitPrune = true;
-  const core::PortfolioResult pruned =
-      core::synthesizePortfolio(p, schedules, pruning);
-
-  ASSERT_TRUE(full.success());
-  ASSERT_TRUE(pruned.success());
-  EXPECT_EQ(pruned.symmetryOrbits, 2u);
-  EXPECT_EQ(pruned.schedulesPruned(), 20u);
-  EXPECT_GT(pruned.schedulesPruned(), 0u);
-  EXPECT_EQ(full.symmetryOrbits, 0u);  // pruning off: nothing computed
-  EXPECT_EQ(full.schedulesPruned(), 0u);
-
-  // Same winner, byte-identical extracted program.
-  EXPECT_EQ(pruned.winner, full.winner);
-  EXPECT_EQ(extractedProgram(pruned, p), extractedProgram(full, p));
-
-  // Pruned instances that never ran report their identity anyway.
-  for (const auto& inst : pruned.instances) {
-    EXPECT_EQ(inst.schedule.size(), 4u);
-    if (inst.pruned && !inst.ran) {
-      EXPECT_FALSE(inst.result.success);
-      EXPECT_EQ(inst.wallSeconds, 0.0);
-    }
-  }
-}
-
-TEST(Portfolio, OrbitPruningFallbackKeepsSolvabilityOnFalseSymmetry) {
-  // Orbits are a necessary condition, not sufficient: when every
-  // representative fails, the deferred instances must still run so the
-  // pruned portfolio's success always equals the unpruned one's. An
-  // unrealizable protocol with two same-orbit processes exercises the
-  // path end to end: the representative fails, the deferred schedule runs
-  // in the fallback, everything still fails — and nothing stays pruned.
-  protocol::ProtocolBuilder b("stuck");
-  const protocol::VarId x0 = b.variable("x0", 2);
-  const protocol::VarId x1 = b.variable("x1", 2);
-  b.process("P0", {x0, x1}, {});
-  b.process("P1", {x0, x1}, {});
-  b.invariant(protocol::ref(x0) == protocol::lit(0));
-  const protocol::Protocol p = b.build();
-
-  const std::vector<Schedule> schedules = core::allSchedules(2);
-  core::PortfolioOptions plain;
-  plain.threads = 1;
-  const core::PortfolioResult full =
-      core::synthesizePortfolio(p, schedules, plain);
-  core::PortfolioOptions pruning;
-  pruning.threads = 1;
-  pruning.orbitPrune = true;
-  const core::PortfolioResult pruned =
-      core::synthesizePortfolio(p, schedules, pruning);
-
-  ASSERT_FALSE(full.success());
-  EXPECT_EQ(pruned.success(), full.success());
-  // Both write-less processes share one orbit, so one schedule was
-  // deferred...
-  EXPECT_EQ(pruned.symmetryOrbits, 1u);
-  // ...but the fallback ran it: nothing stayed pruned, and the pruned
-  // portfolio did exactly as much work as the unpruned one.
-  EXPECT_EQ(pruned.schedulesPruned(), 0u);
-  EXPECT_EQ(pruned.instancesRun(), full.instancesRun());
-}
-
-TEST(Portfolio, OrbitPruningMatchesStaticAnalysisRepresentatives) {
-  // The instances the portfolio defers are exactly the non-representative
-  // schedules of analysis::scheduleRepresentatives.
-  const protocol::Protocol p = casestudies::tokenRing(4, 3);
-  const std::vector<Schedule> schedules = core::allSchedules(4);
-  const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
-  const std::vector<std::size_t> reps =
-      analysis::scheduleRepresentatives(orbits, schedules);
-
-  core::PortfolioOptions options;
-  options.threads = 1;
-  options.orbitPrune = true;
-  const core::PortfolioResult r =
-      core::synthesizePortfolio(p, schedules, options);
-  ASSERT_EQ(r.instances.size(), schedules.size());
-  for (std::size_t i = 0; i < schedules.size(); ++i) {
-    EXPECT_EQ(r.instances[i].pruned, reps[i] != i) << "schedule " << i;
   }
 }
 

@@ -2,24 +2,24 @@
 // (random topology, random invariant; empty action sets so closure holds
 // trivially), run BOTH synthesis engines, and assert they agree exactly —
 // plus, on success, that the result verifies against the explicit checker.
-// The ranking-operand wall at the end adds random guarded actions.
+// The guarded differential and the ranking-operand wall add random guarded
+// actions, so the input relation is not empty.
 //
 // This is the widest net in the suite: it explores protocol shapes none of
 // the case studies have (asymmetric localities, multi-writer processes,
 // disconnected reads).
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
+#include <string>
 
-#include "analysis/staticinfo.hpp"
 #include "protocol/builder.hpp"
 #include "casestudies/coloring.hpp"
 #include "casestudies/matching.hpp"
 #include "casestudies/token_ring.hpp"
 #include "core/heuristic.hpp"
-#include "core/portfolio.hpp"
 #include "core/ranks.hpp"
-#include "core/schedule.hpp"
 #include "explicitstate/synthesis.hpp"
 #include "explicitstate/verify.hpp"
 #include "symbolic/decode.hpp"
@@ -102,6 +102,47 @@ protocol::Protocol randomProtocol(util::Rng& rng, bool guarded = false) {
   return b.build();
 }
 
+/// Runs both synthesis engines on `p` and asserts they agree on success,
+/// failure kind, pass and the returned relation, edge for edge; on
+/// success, that the result verifies in both engines. Fills `outcome`
+/// with "pass N" or the failure kind.
+void expectEnginesAgree(const protocol::Protocol& p,
+                        const explicitstate::StateSpace& space,
+                        const std::string& where, std::string& outcome) {
+  symbolic::Encoding enc(p);
+  symbolic::SymbolicProtocol sp(enc);
+  const core::StrongResult sym = core::addStrongConvergence(sp);
+  const explicitstate::SynthResult ex =
+      explicitstate::addStrongConvergenceExplicit(space);
+
+  // Engine agreement, transition for transition.
+  ASSERT_EQ(sym.success, ex.success) << where;
+  EXPECT_EQ(static_cast<int>(sym.failure), static_cast<int>(ex.failure))
+      << where;
+  EXPECT_EQ(sym.stats.passCompleted, ex.passCompleted) << where;
+  std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
+      symEdges;
+  for (const auto& [from, to] : symbolic::decodeRelation(enc, sym.relation)) {
+    symEdges.emplace_back(from, to);
+  }
+  ASSERT_EQ(symEdges, ex.relation) << where;
+  outcome = sym.success ? "pass " + std::to_string(sym.stats.passCompleted)
+                        : core::toString(sym.failure);
+
+  if (sym.success) {
+    // Soundness: the synthesized protocol verifies in both engines.
+    EXPECT_TRUE(verify::check(sp, sym.relation).stronglyStabilizing())
+        << where;
+    const auto ts = explicitstate::fromEdges(space, ex.relation);
+    const auto report = explicitstate::check(space, ts);
+    EXPECT_TRUE(report.stronglyStabilizing()) << where;
+    // And the interference constraint of Problem III.1 holds.
+    EXPECT_TRUE(verify::agreesInsideInvariant(sp, sp.protocolRelation(),
+                                              sym.relation))
+        << where;
+  }
+}
+
 class RandomProtocolDifferential
     : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -113,42 +154,62 @@ TEST_P(RandomProtocolDifferential, EnginesAgreeAndResultsVerify) {
     if (space.invariantSize() == 0 || space.invariantSize() == space.size()) {
       continue;  // degenerate invariant: nothing to synthesize
     }
-
-    symbolic::Encoding enc(p);
-    symbolic::SymbolicProtocol sp(enc);
-    const core::StrongResult sym = core::addStrongConvergence(sp);
-    const explicitstate::SynthResult ex =
-        explicitstate::addStrongConvergenceExplicit(space);
-
-    // Engine agreement, transition for transition.
-    ASSERT_EQ(sym.success, ex.success) << "seed " << GetParam()
-                                       << " instance " << instance;
-    EXPECT_EQ(static_cast<int>(sym.failure), static_cast<int>(ex.failure));
-    EXPECT_EQ(sym.stats.passCompleted, ex.passCompleted);
-    std::vector<std::pair<explicitstate::StateId, explicitstate::StateId>>
-        symEdges;
-    for (const auto& [from, to] :
-         symbolic::decodeRelation(enc, sym.relation)) {
-      symEdges.emplace_back(from, to);
-    }
-    ASSERT_EQ(symEdges, ex.relation)
-        << "seed " << GetParam() << " instance " << instance;
-
-    if (sym.success) {
-      // Soundness: the synthesized protocol verifies in both engines.
-      EXPECT_TRUE(verify::check(sp, sym.relation).stronglyStabilizing());
-      const auto ts = explicitstate::fromEdges(space, ex.relation);
-      const auto report = explicitstate::check(space, ts);
-      EXPECT_TRUE(report.stronglyStabilizing());
-      // And the interference constraint of Problem III.1 holds.
-      EXPECT_TRUE(verify::agreesInsideInvariant(sp, sp.protocolRelation(),
-                                                sym.relation));
-    }
+    std::string outcome;
+    expectEnginesAgree(p, space,
+                       "seed " + std::to_string(GetParam()) + " instance " +
+                           std::to_string(instance),
+                       outcome);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProtocolDifferential,
                          ::testing::Range<std::uint64_t>(0, 15));
+
+// The same differential over protocols with guarded actions, so δ_p is not
+// empty and preprocessing (removePreexistingCycles), closure and C1 see an
+// input relation. Draws whose I is not closed in δ_p are skipped (the CLI
+// rejects those under Problem III.1). The wall counts its outcomes, so the
+// coverage is measured: at least one success and one unremovable
+// pre-existing cycle must occur.
+TEST(RandomGuardedProtocolDifferential, EnginesAgreeOnInputRelations) {
+  std::map<std::string, int> outcomes;
+  int openInvariant = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    util::Rng rng(seed * 104729 + 7);
+    for (int instance = 0; instance < 6; ++instance) {
+      const protocol::Protocol p = randomProtocol(rng, /*guarded=*/true);
+      const explicitstate::StateSpace space(p);
+      if (space.invariantSize() == 0 ||
+          space.invariantSize() == space.size()) {
+        continue;
+      }
+      symbolic::Encoding enc(p);
+      const symbolic::SymbolicProtocol sp(enc);
+      if (!verify::isClosed(sp, sp.protocolRelation(), sp.invariant())) {
+        ++openInvariant;
+        continue;
+      }
+      std::string outcome;
+      expectEnginesAgree(p, space,
+                         "seed " + std::to_string(seed) + " instance " +
+                             std::to_string(instance),
+                         outcome);
+      if (HasFatalFailure()) return;
+      ++outcomes[outcome];
+    }
+  }
+  std::string summary = std::to_string(openInvariant) + " open I";
+  int successes = 0;
+  for (const auto& [outcome, count] : outcomes) {
+    summary += ", " + outcome + ": " + std::to_string(count);
+    if (outcome.starts_with("pass ")) successes += count;
+  }
+  RecordProperty("outcomes", summary);
+  EXPECT_GE(successes, 1) << summary;
+  EXPECT_GE(outcomes[core::toString(core::Failure::PreexistingCycleUnremovable)],
+            1)
+      << summary;
+}
 
 class RandomProtocolWeak : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -493,77 +554,6 @@ TEST_P(LayoutDifferential, ScrambledDeclarationWithSiftingAgrees) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LayoutDifferential,
-                         ::testing::Range<std::uint64_t>(0, 24));
-
-// ---------------------------------------------------------------------------
-// Orbit-pruning differential testing: the pruned portfolio must succeed
-// exactly when the unpruned one does, and its winner is predictable from
-// the unpruned outcomes plus the static orbit analysis.
-// ---------------------------------------------------------------------------
-
-class OrbitPruneDifferential : public ::testing::TestWithParam<std::uint64_t> {
-};
-
-TEST_P(OrbitPruneDifferential, PrunedPortfolioMatchesUnprunedSemantics) {
-  util::Rng rng(GetParam() * 1299709 + 3);
-  for (int instance = 0; instance < 2; ++instance) {
-    const protocol::Protocol p = randomProtocol(rng);
-    const explicitstate::StateSpace space(p);
-    if (space.invariantSize() == 0 || space.invariantSize() == space.size()) {
-      continue;
-    }
-    std::vector<core::Schedule> schedules;
-    for (std::size_t rot = 0; rot < p.processCount(); ++rot) {
-      schedules.push_back(core::rotatedSchedule(p.processCount(), rot));
-    }
-
-    core::PortfolioOptions plain;
-    plain.threads = 1;
-    const core::PortfolioResult full =
-        core::synthesizePortfolio(p, schedules, plain);
-    core::PortfolioOptions pruning;
-    pruning.threads = 1;
-    pruning.orbitPrune = true;
-    const core::PortfolioResult pruned =
-        core::synthesizePortfolio(p, schedules, pruning);
-
-    // Solvability must never change (the fallback guarantee).
-    ASSERT_EQ(pruned.success(), full.success())
-        << "seed " << GetParam() << " instance " << instance;
-    if (!full.success()) continue;
-
-    // Winner accounting. When the unpruned winner is itself a
-    // representative, the pruned run reproduces it exactly: every
-    // representative below it failed (they ran and failed in the unpruned
-    // run too), so phase one stops at the same instance. When the winner
-    // was a deferred schedule, the pruned run may legitimately settle on a
-    // later representative instead (the orbit hash grouped
-    // non-interchangeable schedules) — but the winner must then be a
-    // successful representative, never an un-run instance.
-    const analysis::ProcessOrbits orbits = analysis::computeOrbits(p);
-    const std::vector<std::size_t> reps =
-        analysis::scheduleRepresentatives(orbits, schedules);
-    ASSERT_LT(pruned.winner, pruned.instances.size());
-    EXPECT_TRUE(pruned.instances[pruned.winner].ran);
-    EXPECT_TRUE(pruned.instances[pruned.winner].result.success);
-    if (reps[full.winner] == full.winner) {
-      EXPECT_EQ(pruned.winner, full.winner)
-          << "seed " << GetParam() << " instance " << instance;
-      // Same schedule => identical synthesis: the winners'
-      // decoded programs are identical BDD-for-BDD up to decoding.
-      const auto& pw = pruned.instances[pruned.winner];
-      const auto& fw = full.instances[full.winner];
-      EXPECT_EQ(symbolic::decodeRelation(*pw.encoding, pw.result.relation),
-                symbolic::decodeRelation(*fw.encoding, fw.result.relation));
-    } else {
-      EXPECT_TRUE(pruned.winner == full.winner ||
-                  reps[pruned.winner] == pruned.winner)
-          << "seed " << GetParam() << " instance " << instance;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, OrbitPruneDifferential,
                          ::testing::Range<std::uint64_t>(0, 24));
 
 // ---------------------------------------------------------------------------

@@ -159,9 +159,10 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   EXPECT_EQ(badOption.find("kind")->str, "invalid_request");
 
   // Unknown keys are named in the error, including the removed
-  // image_workers and image_policy, so old clients learn why they were
-  // refused.
-  for (const std::string key : {"threads", "image_workers", "image_policy"}) {
+  // image_workers, image_policy and orbit_prune, so old clients learn why
+  // they were refused.
+  for (const std::string key :
+       {"threads", "image_workers", "image_policy", "orbit_prune"}) {
     auto unknownOption = parsed(roundTrip(
         rs.port(), R"({"verb":"synthesize","protocol":"x","options":{")" +
                        key + R"(":2}})"));
@@ -184,7 +185,7 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   // exactly one of synthesize / lint / inline / invalid, so the
   // reconciliation invariant `requests == synthesize + lint + inline +
   // invalid` holds with no leakage category.
-  EXPECT_EQ(rs.server.counters().invalid.load(), 9u);
+  EXPECT_EQ(rs.server.counters().invalid.load(), 10u);
 }
 
 TEST(Serve, CacheHitReplaysByteIdenticalResult) {
@@ -238,6 +239,35 @@ TEST(Serve, CacheHitReplaysByteIdenticalResult) {
   ASSERT_TRUE(weakDoc.find("ok")->boolean);
   EXPECT_FALSE(weakDoc.find("cache_hit")->boolean);
   EXPECT_EQ(rs.server.counters().cacheMisses.load(), 2u);
+}
+
+TEST(Serve, CacheKeySeparatesProtocolsDifferingOnlyInReads) {
+  // The key is the printed protocol, which names every read set: two
+  // protocols that differ in one process's reads must never share an
+  // entry.
+  RunningServer rs(smallServer());
+  protocol::Protocol narrow = casestudies::tokenRing(3, 2);
+  narrow.name = "token_ring_serve";
+  protocol::Protocol wide = narrow;
+  wide.processes[1].reads = {0, 1, 2};
+  ASSERT_NE(narrow.processes[1].reads, wide.processes[1].reads);
+
+  auto narrowDoc = parsed(
+      roundTrip(rs.port(), synthesizeRequest(lang::printProtocol(narrow))));
+  auto wideDoc = parsed(
+      roundTrip(rs.port(), synthesizeRequest(lang::printProtocol(wide))));
+  ASSERT_TRUE(narrowDoc.find("ok")->boolean);
+  ASSERT_TRUE(wideDoc.find("ok")->boolean);
+  EXPECT_FALSE(narrowDoc.find("cache_hit")->boolean);
+  EXPECT_FALSE(wideDoc.find("cache_hit")->boolean);
+  EXPECT_EQ(rs.server.counters().cacheMisses.load(), 2u);
+  EXPECT_EQ(rs.server.counters().cacheHits.load(), 0u);
+  const auto* narrowResult = narrowDoc.find("result");
+  const auto* wideResult = wideDoc.find("result");
+  ASSERT_NE(narrowResult, nullptr);
+  ASSERT_NE(wideResult, nullptr);
+  EXPECT_NE(narrowResult->find("program")->str,
+            wideResult->find("program")->str);
 }
 
 TEST(Serve, DeadlineExceededLeavesDaemonHealthy) {
