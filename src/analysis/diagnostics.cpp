@@ -26,14 +26,6 @@ bool Diagnostics::failed(bool werror) const {
          (werror && count(Severity::Warning) > 0);
 }
 
-bool Diagnostics::has(const std::string& ruleId,
-                      protocol::SourceLoc loc) const {
-  return std::any_of(items_.begin(), items_.end(), [&](const Diagnostic& d) {
-    return d.ruleId == ruleId && d.loc.line == loc.line &&
-           d.loc.column == loc.column;
-  });
-}
-
 void Diagnostics::sortByLocation() {
   std::stable_sort(
       items_.begin(), items_.end(),
@@ -103,108 +95,90 @@ const char* sarifLevel(Severity s) {
 }
 
 /// Static per-rule metadata for the SARIF rule catalogue. helpUri anchors
-/// match the per-rule headings in docs/lint_rules.md; `overapprox` marks
-/// rules of the abstract-interpretation tier (conservative flags, not
-/// proofs). Rule ids not in this table (unlikely) get an id-only
-/// descriptor, which is still valid SARIF.
+/// match the per-rule headings in docs/lint_rules.md. Rule ids not in this
+/// table (unlikely) get an id-only descriptor, which is still valid SARIF.
 struct RuleMeta {
   const char* id;
   const char* shortDesc;
   const char* fullDesc;
-  bool overapprox;
 };
 
 constexpr RuleMeta kRuleCatalogue[] = {
     // Parse / builder validation tier.
     {"parse-error", "Source failed to parse",
      "The .stsyn input has a lexical or syntactic error; later tiers are "
-     "skipped.", false},
+     "skipped."},
+    {"internal-error", "Analysis failed unexpectedly",
+     "Parsing or linting threw an unexpected exception; the run is "
+     "reported as failed instead of crashing."},
     {"no-variables", "Protocol declares no variables",
-     "A protocol needs at least one variable to have any state.", false},
+     "A protocol needs at least one variable to have any state."},
     {"empty-domain", "Variable domain is non-positive",
-     "Every variable needs a domain of at least one value.", false},
+     "Every variable needs a domain of at least one value."},
     {"var-id-range", "Reference to an unknown variable",
      "An expression or locality list references a variable id outside the "
-     "declaration table.", false},
+     "declaration table."},
     {"unsorted-locality", "Read/write list not sorted and duplicate-free",
-     "Process read and write sets must be ascending and duplicate-free.",
-     false},
+     "Process read and write sets must be ascending and duplicate-free."},
     {"invariant-not-boolean", "Invariant is not boolean-valued",
-     "The protocol invariant must be a boolean expression.", false},
+     "The protocol invariant must be a boolean expression."},
     {"guard-not-boolean", "Guard is not boolean-valued",
-     "Action guards must be boolean expressions.", false},
+     "Action guards must be boolean expressions."},
     {"assign-not-integer", "Assignment right-hand side is not integer-valued",
-     "Assignment right-hand sides must be integer expressions.", false},
+     "Assignment right-hand sides must be integer expressions."},
     {"write-restriction", "Assignment target outside the write set",
-     "A process may only assign variables it declares as writable.", false},
+     "A process may only assign variables it declares as writable."},
     {"read-restriction", "Expression reads outside the read set",
      "Guards and assignment right-hand sides may only reference variables "
-     "the process declares as readable.", false},
+     "the process declares as readable."},
     {"duplicate-assignment", "Action assigns one variable twice",
-     "Parallel assignments in one action must target distinct variables.",
-     false},
+     "Parallel assignments in one action must target distinct variables."},
     {"writes-not-readable", "Write set is not a subset of the read set",
      "Every written variable must also be readable (the paper's model has "
-     "no blind writes).", false},
+     "no blind writes)."},
     {"local-predicate-arity", "Local predicates set for only some processes",
-     "Local predicates must be given for all processes or none.", false},
+     "Local predicates must be given for all processes or none."},
     {"local-predicate-not-boolean", "Local predicate is not boolean-valued",
-     "Local predicates must be boolean expressions.", false},
+     "Local predicates must be boolean expressions."},
     {"local-predicate-unreadable", "Local predicate reads outside read set",
-     "A local predicate may only reference variables its process reads.",
-     false},
+     "A local predicate may only reference variables its process reads."},
     // AST lint tier (exact facts about the source).
     {"duplicate-process", "Two processes share a name",
-     "Process names must be unique; diagnostics and stats key on them.",
-     false},
+     "Process names must be unique; diagnostics and stats key on them."},
     {"duplicate-label", "Two actions in one process share a label",
-     "Action labels must be unique within a process.", false},
+     "Action labels must be unique within a process."},
     {"invariant-unreadable", "Invariant references an unreadable variable",
      "The invariant references a variable no process can read, so recovery "
-     "actions cannot depend on it.", false},
+     "actions cannot depend on it."},
     {"compare-out-of-domain", "Comparison against an impossible value",
      "A comparison's constant side lies outside the values its variable "
-     "side can take, making the comparison constant.", false},
+     "side can take, making the comparison constant."},
     {"assign-out-of-domain", "Assignment can exceed the target's domain",
      "The right-hand side can take values outside the target variable's "
-     "declared domain.", false},
+     "declared domain."},
     {"dead-variable", "Variable is never read or written",
      "The variable appears in no process's locality and not in the "
-     "invariant.", false},
+     "invariant."},
     // Symbolic lint tier (exact, BDD-backed).
     {"invariant-empty", "Invariant has no satisfying state",
-     "The invariant BDD is the constant false; synthesis cannot succeed.",
-     false},
+     "The invariant BDD is the constant false; synthesis cannot succeed."},
     {"invariant-trivial", "Invariant holds in every state",
-     "The invariant BDD is the constant true; convergence is vacuous.",
-     false},
+     "The invariant BDD is the constant true; convergence is vacuous."},
     {"guard-unsat", "Guard has no satisfying state",
-     "The guard BDD is the constant false; the action can never fire.",
-     false},
+     "The guard BDD is the constant false; the action can never fire."},
+    {"guard-tautology", "Guard holds in every state",
+     "The guard BDD covers every in-domain state; the action is always "
+     "enabled."},
+    {"dead-assignment", "Assignment can never change its target",
+     "No state satisfying the guard has a right-hand side that differs "
+     "from the target's current value."},
     {"action-identity", "Action never changes the state",
-     "The action's transition relation is a subset of the identity.", false},
+     "The action's transition relation is a subset of the identity."},
     {"action-overlap", "Two actions are enabled on a common state",
      "Two actions of one process share satisfying states — intentional "
-     "nondeterminism or a missed guard conjunct.", false},
+     "nondeterminism or a missed guard conjunct."},
     {"symbolic-failure", "Symbolic tier failed to run",
-     "Building the BDD encoding threw; exact rules were skipped.", false},
-    // Abstract-interpretation tier (over-approximate; see
-    // docs/lint_rules.md for the false-positive policy).
-    {"abs-guard-unsat", "Guard unsatisfiable over the declared domains",
-     "Value-set propagation proves no assignment of in-domain values "
-     "satisfies the guard; the action can never fire.", true},
-    {"abs-guard-tautology", "Guard holds over all declared domains",
-     "Value-set propagation proves the guard true in every state; the "
-     "action is always enabled.", true},
-    {"abs-dead-assignment", "Assignment can never change its target",
-     "Under the guard-narrowed value sets the right-hand side always "
-     "equals the target's current value.", true},
-    {"abs-invariant-empty", "Invariant unsatisfiable over the domains",
-     "Value-set propagation proves no in-domain state satisfies the "
-     "invariant; synthesis cannot succeed.", true},
-    {"abs-invariant-trivial", "Invariant holds over all declared domains",
-     "Value-set propagation proves the invariant true in every state; "
-     "convergence is vacuous.", true},
+     "Building the BDD encoding threw; exact rules were skipped."},
 };
 
 const RuleMeta* findRuleMeta(const std::string& id) {
@@ -254,12 +228,8 @@ std::string formatSarif(const Diagnostics& diags, const std::string& file) {
         << jsonEscape(meta->fullDesc) << "\"},\n"
         << "              \"helpUri\": "
            "\"https://github.com/stsyn/stsyn/blob/main/docs/lint_rules.md#"
-        << jsonEscape(ruleIds[i]) << "\"";
-    if (meta->overapprox) {
-      out << ",\n              \"properties\": {\"precision\": "
-             "\"overapprox\"}";
-    }
-    out << "\n            }";
+        << jsonEscape(ruleIds[i]) << "\"\n"
+        << "            }";
   }
   if (!ruleIds.empty()) out << "\n          ";
   out << "]\n"
@@ -287,12 +257,8 @@ std::string formatSarif(const Diagnostics& diags, const std::string& file) {
     }
     out << "\n              }\n"
         << "            }\n"
-        << "          ]";
-    if (!d.precision.empty()) {
-      out << ",\n          \"properties\": {\"precision\": \""
-          << jsonEscape(d.precision) << "\"}";
-    }
-    out << "\n        }";
+        << "          ]\n"
+        << "        }";
   }
   if (!items.empty()) out << "\n      ";
   out << "]\n"

@@ -28,26 +28,14 @@ struct Diagnostic {
   Severity severity = Severity::Warning;
   std::string message;
   protocol::SourceLoc loc;  // (0,0) when the entity has no source position
-
-  /// Analysis precision of the rule that produced this diagnostic:
-  /// "" for exact tiers (AST facts, symbolic BDD queries), "overapprox"
-  /// for the abstract-interpretation tier. Rendered as a SARIF result
-  /// property so consumers can tell proofs from conservative flags.
-  std::string precision;
 };
 
 /// Accumulates diagnostics from every stage of a lint run.
 class Diagnostics {
  public:
-  void add(Diagnostic d) { items_.push_back(std::move(d)); }
   void add(std::string ruleId, Severity severity, std::string message,
            protocol::SourceLoc loc = {}) {
-    Diagnostic d;
-    d.ruleId = std::move(ruleId);
-    d.severity = severity;
-    d.message = std::move(message);
-    d.loc = loc;
-    items_.push_back(std::move(d));
+    items_.push_back({std::move(ruleId), severity, std::move(message), loc});
   }
 
   /// Converts a builder validation issue; all validation rules are errors.
@@ -62,12 +50,6 @@ class Diagnostics {
   /// True when the run should fail: any error, or (under werror) any
   /// warning. Notes never fail a run.
   [[nodiscard]] bool failed(bool werror) const;
-
-  /// True when a diagnostic with this rule id exists at this position.
-  /// Used by the lint driver to suppress an exact-tier rule when the
-  /// abstract tier already reported the same defect there.
-  [[nodiscard]] bool has(const std::string& ruleId,
-                         protocol::SourceLoc loc) const;
 
   /// Orders diagnostics fully deterministically: by source position
   /// (unknown positions last), then rule id, then message — so SARIF

@@ -3,7 +3,6 @@
 #include <set>
 #include <stdexcept>
 
-#include "analysis/absint.hpp"
 #include "lang/parser.hpp"
 #include "symbolic/compile.hpp"
 #include "symbolic/encoding.hpp"
@@ -207,17 +206,13 @@ void lintSymbolic(const Protocol& p, Diagnostics& diags) {
       symbolic::compileBool(*p.invariant, enc, symbolic::StateCopy::Current) &
       valid;
   if (inv.isFalse()) {
-    if (!diags.has("abs-invariant-empty", p.invariantLoc)) {
-      diags.add("invariant-empty", Severity::Error,
-                "invariant is unsatisfiable: there are no legitimate states",
-                p.invariantLoc);
-    }
+    diags.add("invariant-empty", Severity::Error,
+              "invariant is unsatisfiable: there are no legitimate states",
+              p.invariantLoc);
   } else if (inv == valid) {
-    if (!diags.has("abs-invariant-trivial", p.invariantLoc)) {
-      diags.add("invariant-trivial", Severity::Warning,
-                "invariant holds in every state: nothing to converge to",
-                p.invariantLoc);
-    }
+    diags.add("invariant-trivial", Severity::Warning,
+              "invariant holds in every state: nothing to converge to",
+              p.invariantLoc);
   }
 
   for (std::size_t j = 0; j < p.processes.size(); ++j) {
@@ -231,13 +226,30 @@ void lintSymbolic(const Protocol& p, Diagnostics& diags) {
           symbolic::compileBool(*a.guard, enc, symbolic::StateCopy::Current) &
           valid;
       if (guard.isFalse()) {
-        if (!diags.has("abs-guard-unsat", a.loc)) {
-          diags.add("guard-unsat", Severity::Warning,
-                    who + ": guard is unsatisfiable — the action can never "
-                          "fire",
+        diags.add("guard-unsat", Severity::Warning,
+                  who + ": guard is unsatisfiable — the action can never "
+                        "fire",
+                  a.loc);
+        continue;  // rels[k] stays false; overlap checks skip it
+      }
+      if (guard == valid) {
+        diags.add("guard-tautology", Severity::Note,
+                  who + ": guard holds in every state — the action is "
+                        "always enabled",
+                  a.loc);
+      }
+      for (const protocol::Assignment& asg : a.assigns) {
+        const protocol::E changes =
+            protocol::ref(asg.var) != protocol::E(asg.value);
+        if ((symbolic::compileBool(*changes.ptr(), enc,
+                                   symbolic::StateCopy::Current) &
+             guard)
+                .isFalse()) {
+          diags.add("dead-assignment", Severity::Warning,
+                    who + ": assignment to " + p.vars[asg.var].name +
+                        " can never change its value where the guard holds",
                     a.loc);
         }
-        continue;  // rels[k] stays false; overlap checks skip it
       }
       const bdd::Bdd rel = symbolic::actionRelation(enc, j, a);
       enabled[k] = guard;
@@ -277,16 +289,13 @@ void lintSymbolic(const Protocol& p, Diagnostics& diags) {
 
 void lintProtocol(const Protocol& proto,
                   const std::vector<ValidationIssue>& issues,
-                  Diagnostics& diags, const LintOptions& options) {
+                  Diagnostics& diags) {
   for (const ValidationIssue& issue : issues) diags.addIssue(issue);
   lintAst(proto, diags);
-  // The abstract tier is BDD-free and defensive against ill-formed input,
-  // so it runs regardless of earlier errors and of the symbolic switch.
-  if (options.abstractTier) lintAbstract(proto, diags);
   // The symbolic tier needs a compilable protocol: skip it whenever the
-  // structural tiers found an error (e.g. a non-boolean guard or an
-  // out-of-domain assignment would throw inside the compiler).
-  if (options.symbolic && diags.count(Severity::Error) == 0) {
+  // AST tier found an error (e.g. a non-boolean guard or an out-of-domain
+  // assignment would throw inside the compiler).
+  if (diags.count(Severity::Error) == 0) {
     try {
       lintSymbolic(proto, diags);
     } catch (const std::exception& e) {
@@ -297,12 +306,11 @@ void lintProtocol(const Protocol& proto,
   diags.sortByLocation();
 }
 
-bool lintSource(std::string_view source, Diagnostics& diags,
-                const LintOptions& options) {
+bool lintSource(std::string_view source, Diagnostics& diags) {
   std::vector<ValidationIssue> issues;
   try {
     const Protocol proto = lang::parseProtocolLenient(source, issues);
-    lintProtocol(proto, issues, diags, options);
+    lintProtocol(proto, issues, diags);
     return true;
   } catch (const lang::ParseError& e) {
     // what() is "line L:C: message"; the rendered diagnostic already

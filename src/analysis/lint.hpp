@@ -1,6 +1,6 @@
 // The protocol linter: a static-analysis pass over parsed .stsyn protocols.
 //
-// Rules come in three tiers (see docs/lint_rules.md for the catalogue):
+// Rules come in two tiers (see docs/lint_rules.md for the catalogue):
 //
 //  - Syntactic/AST rules inspect the Protocol structure directly: the
 //    builder's well-formedness violations (read/write restrictions, type
@@ -8,20 +8,14 @@
 //    assignments outside a variable's declared domain, duplicate action
 //    labels, and dead variables.
 //
-//  - Abstract rules (analysis/absint.hpp) propagate per-variable value
-//    sets to a fixpoint and flag definite impossibilities — unsatisfiable
-//    guards/invariants, dead assignments — without building any BDD.
-//    Over-approximate (precision "overapprox" in SARIF), so they run
-//    even when the symbolic tier is skipped for size.
-//
 //  - Symbolic rules compile the protocol with the BDD layer and decide
-//    semantic questions exactly: guards that can never fire, actions that
-//    are the identity wherever enabled, overlapping nondeterministic
-//    actions, and empty or trivially-true invariants. Findings already
-//    made by the abstract tier at the same position are not repeated.
+//    semantic questions exactly over the declared domains: guards that can
+//    never fire or always hold, assignments that never change their
+//    target, actions that are the identity wherever enabled, overlapping
+//    nondeterministic actions, and empty or trivially-true invariants.
 //
-// The symbolic tier only runs when the earlier tiers found no errors (an
-// ill-formed protocol cannot be compiled) and is skippable for speed.
+// The symbolic tier only runs when the AST tier found no errors: an
+// ill-formed protocol cannot be compiled.
 #pragma once
 
 #include <string_view>
@@ -31,30 +25,17 @@
 
 namespace stsyn::analysis {
 
-struct LintOptions {
-  /// Run the BDD-backed semantic rules (guard-unsat, action-identity,
-  /// action-overlap, invariant-empty, invariant-trivial).
-  bool symbolic = true;
-
-  /// Run the abstract-interpretation rules (abs-guard-unsat,
-  /// abs-guard-tautology, abs-dead-assignment, abs-invariant-empty,
-  /// abs-invariant-trivial). BDD-free, so cheap enough to stay on even
-  /// when the symbolic tier is disabled for size.
-  bool abstractTier = true;
-};
-
-/// Runs the AST lint tier over a protocol that may still contain
-/// well-formedness violations; `issues` are the builder's validation
-/// findings (from ProtocolBuilder::buildLenient / parseProtocolLenient),
-/// reported first as errors.
+/// Lints a protocol that may still contain well-formedness violations;
+/// `issues` are the builder's validation findings (from
+/// ProtocolBuilder::buildLenient / parseProtocolLenient), reported first
+/// as errors.
 void lintProtocol(const protocol::Protocol& proto,
                   const std::vector<protocol::ValidationIssue>& issues,
-                  Diagnostics& diags, const LintOptions& options = {});
+                  Diagnostics& diags);
 
 /// Convenience entry point for .stsyn text: parses leniently, then lints.
 /// Lexical/syntax errors are reported as a single "parse-error" diagnostic
 /// instead of being thrown. Returns true when the source parsed.
-bool lintSource(std::string_view source, Diagnostics& diags,
-                const LintOptions& options = {});
+bool lintSource(std::string_view source, Diagnostics& diags);
 
 }  // namespace stsyn::analysis

@@ -25,7 +25,7 @@ int usage(std::ostream& err) {
          " [--max-pass N] [--no-greedy] [--timeout MS]"
          " [--explain] [--print] [--quiet]"
          " [--output FILE] [--stats-json FILE] [--trace FILE]\n"
-         "       stsyn lint <protocol.stsyn> [--werror] [--no-symbolic]"
+         "       stsyn lint <protocol.stsyn> [--werror]"
          " [--format=sarif|text]   (or: stsyn <protocol.stsyn> --lint ...)\n"
          "       stsyn serve [--port N] [--workers N] [--queue N]"
          " [--cache N] [--cache-dir PATH] [--max-inflight N]"
@@ -92,8 +92,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       out.mode = Mode::Lint;
     } else if (!std::strcmp(a, "--werror")) {
       out.werror = true;
-    } else if (!std::strcmp(a, "--no-symbolic")) {
-      out.lintOptions.symbolic = false;
     } else if (!std::strncmp(a, "--format=", 9)) {
       out.lintFormat = a + 9;
       if (out.lintFormat != "text" && out.lintFormat != "sarif") {

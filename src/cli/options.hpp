@@ -15,7 +15,6 @@
 #include <string_view>
 #include <vector>
 
-#include "analysis/lint.hpp"
 #include "core/heuristic.hpp"
 
 namespace stsyn::cli {
@@ -52,7 +51,6 @@ struct Options {
   // Lint.
   bool werror = false;
   std::string lintFormat = "text";
-  analysis::LintOptions lintOptions;
 
   // Synthesis.
   core::StrongOptions strong;

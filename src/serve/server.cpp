@@ -181,12 +181,6 @@ bool applyLintOptions(const obs::JsonValue& opts, cli::Options& o,
         return false;
       }
       o.werror = b;
-    } else if (key == "no_symbolic") {
-      if (!getBool(value, b)) {
-        error = "no_symbolic must be a boolean";
-        return false;
-      }
-      o.lintOptions.symbolic = !b;
     } else {
       error = "unknown option '" + key + "'";
       return false;

@@ -1,5 +1,7 @@
 #include "verify/verify.hpp"
 
+#include <utility>
+
 namespace stsyn::verify {
 
 using bdd::Bdd;
@@ -43,9 +45,11 @@ Report check(const SymbolicProtocol& sp, const Bdd& rel) {
   }
   const Bdd rest = valid & !must;
   if (!rest.isFalse()) {
-    r.cycles =
-        symbolic::nontrivialSccs(sp, sp.restrictRel(rel, rest), rest)
-            .components;
+    symbolic::SccResult sccs =
+        symbolic::nontrivialSccs(sp, sp.restrictRel(rel, rest), rest);
+    r.cycles = std::move(sccs.components);
+    r.sccDetectionCalls = 1;
+    r.sccSymbolicSteps = sccs.symbolicSteps;
   }
   r.cycleFree = r.cycles.empty();
 

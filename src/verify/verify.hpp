@@ -38,6 +38,11 @@ struct Report {
   /// path length to I, a quality metric of a stabilizing relation.
   /// SIZE_MAX when some state cannot reach I.
   std::size_t recoveryDepth = SIZE_MAX;
+
+  /// SCC searches run (1 when some state outside I can avoid reaching I,
+  /// else 0) and the symbolic steps they spent, for the stats object.
+  std::size_t sccDetectionCalls = 0;
+  std::size_t sccSymbolicSteps = 0;
 };
 
 /// Full verification of `rel` against sp's invariant. Weak convergence and

@@ -1,26 +1,30 @@
 // Tests for the protocol linter (src/analysis): every rule has a positive
 // fixture (a seeded defect that triggers exactly that rule at the expected
 // source span) and the clean fixtures trigger nothing; plus diagnostics
-// plumbing and the SARIF rendering shape.
+// plumbing, the SARIF rendering shape, and the rule catalogue's agreement
+// with docs/lint_rules.md.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
+#include <regex>
+#include <set>
 
 #include "analysis/lint.hpp"
 #include "lang/parser.hpp"
+#include "protocol/builder.hpp"
 
 namespace {
 
 using namespace stsyn;
 using analysis::Diagnostic;
 using analysis::Diagnostics;
-using analysis::LintOptions;
 using analysis::Severity;
 
 /// Lints a source string and returns the diagnostics.
-Diagnostics lint(std::string_view source, LintOptions options = {}) {
+Diagnostics lint(std::string_view source) {
   Diagnostics diags;
-  analysis::lintSource(source, diags, options);
+  analysis::lintSource(source, diags);
   return diags;
 }
 
@@ -179,10 +183,9 @@ process P {
 invariant : x == 0;
 )");
   expectOne(diags, "compare-out-of-domain", 6, 3, Severity::Warning);
-  // The unsatisfiable guard is also caught by the abstract tier, which
-  // suppresses the symbolic-tier duplicate at the same position.
-  EXPECT_EQ(ofRule(diags, "abs-guard-unsat").size(), 1u);
-  EXPECT_TRUE(ofRule(diags, "guard-unsat").empty());
+  // A warning leaves the protocol compilable, so the symbolic tier also
+  // proves the guard unsatisfiable.
+  expectOne(diags, "guard-unsat", 6, 3, Severity::Warning);
 }
 
 TEST(Lint, AssignOutOfDomainIsAnError) {
@@ -245,14 +248,11 @@ invariant : x == 0;
 }
 
 // ---------------------------------------------------------------------------
-// Abstract-interpretation tier, and its interplay with the symbolic tier:
-// defects the value-set domains can prove get abs-* ids (and suppress the
-// symbolic duplicate); relational defects still fall to the BDD tier.
+// Symbolic tier: every semantic rule is decided exactly on the BDD
+// encoding, whether the defect is per-variable or relational.
 // ---------------------------------------------------------------------------
 
 TEST(Lint, UnsatisfiableGuard) {
-  // x == 0 && x == 1 is unsatisfiable per-variable, so the abstract tier
-  // proves it without BDDs and the symbolic duplicate is suppressed.
   const Diagnostics diags = lint(R"(protocol p;
 var x : 0..2;
 process P {
@@ -263,14 +263,16 @@ process P {
 }
 invariant : x == 0 || x == 1;
 )");
-  expectOne(diags, "abs-guard-unsat", 6, 3, Severity::Warning);
-  EXPECT_TRUE(ofRule(diags, "guard-unsat").empty());
+  expectOne(diags, "guard-unsat", 6, 3, Severity::Warning);
+  // An unsatisfiable guard is reported once: its assignment is not also
+  // called dead, nor the action the identity.
+  EXPECT_EQ(diags.items().size(), 1u)
+      << analysis::formatText(diags, "<test>");
 }
 
 TEST(Lint, RelationalUnsatGuardFallsToSymbolicTier) {
-  // x == y && x != y is satisfiable under the non-relational value-set
-  // domain (each variable alone keeps its full domain), so only the exact
-  // BDD tier can prove it empty.
+  // x == y && x != y constrains no variable alone; the BDD proves it
+  // empty.
   const Diagnostics diags = lint(R"(protocol p;
 var x : 0..1;
 var y : 0..1;
@@ -282,7 +284,6 @@ process P {
 invariant : x == 0;
 )");
   expectOne(diags, "guard-unsat", 7, 3, Severity::Warning);
-  EXPECT_TRUE(ofRule(diags, "abs-guard-unsat").empty());
 }
 
 TEST(Lint, IdentityAction) {
@@ -330,8 +331,6 @@ invariant : x == 2;
 }
 
 TEST(Lint, EmptyInvariant) {
-  // Per-variable provable: the abstract tier reports it (as an error, so
-  // the symbolic tier is skipped entirely).
   const Diagnostics diags = lint(R"(protocol p;
 var x : 0..1;
 process P {
@@ -340,8 +339,7 @@ process P {
 }
 invariant : x == 0 && x == 1;
 )");
-  expectOne(diags, "abs-invariant-empty", 7, 1, Severity::Error);
-  EXPECT_TRUE(ofRule(diags, "invariant-empty").empty());
+  expectOne(diags, "invariant-empty", 7, 1, Severity::Error);
 }
 
 TEST(Lint, RelationalEmptyInvariantFallsToSymbolicTier) {
@@ -355,7 +353,6 @@ process P {
 invariant : x == y && x != y;
 )");
   expectOne(diags, "invariant-empty", 8, 1, Severity::Error);
-  EXPECT_TRUE(ofRule(diags, "abs-invariant-empty").empty());
 }
 
 TEST(Lint, TrivialInvariant) {
@@ -367,13 +364,11 @@ process P {
 }
 invariant : true;
 )");
-  expectOne(diags, "abs-invariant-trivial", 7, 1, Severity::Warning);
-  EXPECT_TRUE(ofRule(diags, "invariant-trivial").empty());
+  expectOne(diags, "invariant-trivial", 7, 1, Severity::Warning);
 }
 
 TEST(Lint, DisjunctiveTrivialInvariantFallsToSymbolicTier) {
-  // x == 0 || x != 0 is a tautology, but three-valued evaluation of the
-  // disjunction over value sets yields Top — only the BDD tier proves it.
+  // x == 0 || x != 0 is a tautology no single literal shows.
   const Diagnostics diags = lint(R"(protocol p;
 var x : 0..1;
 process P {
@@ -383,24 +378,57 @@ process P {
 invariant : x == 0 || x != 0;
 )");
   expectOne(diags, "invariant-trivial", 7, 1, Severity::Warning);
-  EXPECT_TRUE(ofRule(diags, "abs-invariant-trivial").empty());
 }
 
-TEST(Lint, SymbolicTierCanBeDisabled) {
+TEST(Lint, AllGuardsUnsatisfiable) {
+  // A degenerate protocol built without source: every guard is impossible
+  // over the declared domains, one per-variable, one through arithmetic.
+  protocol::ProtocolBuilder b("frozen");
+  const protocol::VarId x = b.variable("x", 2);
+  const protocol::VarId y = b.variable("y", 2);
+  const std::size_t p0 = b.process("P0", {x, y}, {x});
+  const std::size_t p1 = b.process("P1", {x, y}, {y});
+  b.action(p0, "a", protocol::ref(x) == protocol::lit(5),
+           {{x, protocol::lit(0)}});
+  b.action(p1, "b", protocol::ref(y) + protocol::ref(x) > protocol::lit(2),
+           {{y, protocol::lit(0)}});
+  b.invariant(protocol::ref(x) == protocol::lit(0));
   Diagnostics diags;
-  LintOptions options;
-  options.symbolic = false;
-  analysis::lintSource(R"(protocol p;
-var x : 0..1;
+  analysis::lintProtocol(b.build(), {}, diags);
+  EXPECT_EQ(ofRule(diags, "guard-unsat").size(), 2u)
+      << analysis::formatText(diags, "<test>");
+  EXPECT_FALSE(diags.failed(false));  // warnings only
+}
+
+TEST(Lint, DeadAssignmentAndTautology) {
+  const Diagnostics diags = lint(R"(protocol p;
+var x : 0..2;
 process P {
   reads x;
   writes x;
-  action idle : x == 1 -> x := 1;
+  action dead : x == 2 -> x := 2;
+  action always : x >= 0 -> x := 1;
 }
 invariant : x == 0;
-)",
-                       diags, options);
-  EXPECT_TRUE(ofRule(diags, "action-identity").empty());
+)");
+  // x == 2 holds only where x already is 2.
+  expectOne(diags, "dead-assignment", 6, 3, Severity::Warning);
+  expectOne(diags, "guard-tautology", 7, 3, Severity::Note);
+  // A relational self-copy is dead too; the guard that covers every
+  // state is a tautology although no literal is.
+  const Diagnostics rel = lint(R"(protocol p;
+var x : 0..1;
+var y : 0..1;
+process P {
+  reads x, y;
+  writes x;
+  action copy : x == y -> x := y;
+  action any : x == y || x != y -> x := (x + 1) mod 2;
+}
+invariant : x == 0;
+)");
+  expectOne(rel, "dead-assignment", 7, 3, Severity::Warning);
+  expectOne(rel, "guard-tautology", 8, 3, Severity::Note);
 }
 
 TEST(Lint, SymbolicTierSkippedWhenAstTierErrors) {
@@ -483,15 +511,6 @@ TEST(Sarif, OutputHasExpectedShape) {
   d.add("guard-unsat", Severity::Warning, "guard is \"unsatisfiable\"",
         {6, 3});
   d.add("invariant-empty", Severity::Error, "no legitimate states", {9, 1});
-  {
-    Diagnostic abs;
-    abs.ruleId = "abs-guard-unsat";
-    abs.severity = Severity::Warning;
-    abs.message = "never satisfiable over the domains";
-    abs.loc = {12, 3};
-    abs.precision = "overapprox";
-    d.add(std::move(abs));
-  }
   const std::string sarif = analysis::formatSarif(d, "proto.stsyn");
 
   EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
@@ -505,10 +524,8 @@ TEST(Sarif, OutputHasExpectedShape) {
   EXPECT_NE(sarif.find("\"helpUri\": \"https://github.com/stsyn/stsyn/"
                        "blob/main/docs/lint_rules.md#guard-unsat\""),
             std::string::npos);
-  // Abstract-tier rules are tagged over-approximate at the rule level and
-  // on each result.
-  EXPECT_NE(sarif.find("\"properties\": {\"precision\": \"overapprox\"}"),
-            std::string::npos);
+  // Every rule is exact: no result or rule carries a precision property.
+  EXPECT_EQ(sarif.find("\"properties\""), std::string::npos);
   // Column semantics are pinned at the run level.
   EXPECT_NE(sarif.find("\"columnKind\": \"unicodeCodePoints\""),
             std::string::npos);
@@ -534,6 +551,50 @@ TEST(Sarif, EmptyRunIsStillWellFormed) {
   EXPECT_NE(sarif.find("\"results\": []"), std::string::npos);
   EXPECT_EQ(std::count(sarif.begin(), sarif.end(), '{'),
             std::count(sarif.begin(), sarif.end(), '}'));
+}
+
+/// Every match of `pattern`'s first group in the file at `path`.
+std::set<std::string> matchesIn(const std::string& path,
+                                const std::regex& pattern) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in) << path;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::set<std::string> out;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), pattern);
+       it != std::sregex_iterator(); ++it) {
+    out.insert((*it)[1].str());
+  }
+  return out;
+}
+
+TEST(Sarif, CatalogueAndDocsNameTheSameRules) {
+  // The SARIF catalogue's entries are the `{"rule-id", ...` rows of
+  // kRuleCatalogue; the docs give each rule a "#### `rule-id`" heading,
+  // which its helpUri anchors to.
+  const std::set<std::string> documented =
+      matchesIn(STSYN_LINT_RULES_DOC, std::regex("\n#### `([a-z-]+)`"));
+  const std::set<std::string> catalogued =
+      matchesIn(STSYN_ANALYSIS_SOURCE_DIR "/diagnostics.cpp",
+                std::regex("\n    \\{\"([a-z-]+)\","));
+  EXPECT_GE(catalogued.size(), 30u);
+  EXPECT_EQ(documented, catalogued);
+  // Each id the linter emits has an entry, which renders with its
+  // descriptions.
+  const std::set<std::string> emitted =
+      matchesIn(STSYN_ANALYSIS_SOURCE_DIR "/lint.cpp",
+                std::regex("diags\\.add\\(\"([a-z-]+)\""));
+  EXPECT_GE(emitted.size(), 15u);
+  for (const std::string& id : emitted) {
+    EXPECT_TRUE(catalogued.contains(id)) << id << " has no catalogue entry";
+  }
+  for (const std::string& id : catalogued) {
+    Diagnostics d;
+    d.add(id, Severity::Note, "m");
+    EXPECT_NE(analysis::formatSarif(d, "f").find("\"shortDescription\""),
+              std::string::npos)
+        << id;
+  }
 }
 
 // ---------------------------------------------------------------------------

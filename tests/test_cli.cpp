@@ -173,7 +173,7 @@ TEST(ParseArgs, UsageNamesEveryAcceptedFlag) {
        it != std::sregex_iterator(); ++it) {
     flags.insert((*it)[1].str());
   }
-  EXPECT_GE(flags.size(), 23u);
+  EXPECT_GE(flags.size(), 22u);
   for (const std::string& flag : flags) {
     EXPECT_NE(usageText.str().find(flag), std::string::npos)
         << flag << " is missing from the usage text";
@@ -329,6 +329,9 @@ TEST(Driver, VerifyModeWritesTheStatsObject) {
   EXPECT_GT(stats->find("preimage_ops")->number, 0.0);
   EXPECT_GT(stats->find("cache_lookups")->number, 0.0);
   EXPECT_GT(stats->find("scc_components_found")->number, 0.0);
+  // The check's SCC decomposition is counted, not just its components.
+  EXPECT_EQ(stats->find("scc_detection_calls")->number, 1.0);
+  EXPECT_GT(stats->find("scc_symbolic_steps")->number, 0.0);
 
   // The same key set as a synthesis run's stats object.
   cli::Options strong;

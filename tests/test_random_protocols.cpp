@@ -3,7 +3,9 @@
 // trivially), run BOTH synthesis engines, and assert they agree exactly —
 // plus, on success, that the result verifies against the explicit checker.
 // The guarded differential and the ranking-operand wall add random guarded
-// actions, so the input relation is not empty.
+// actions, so the input relation is not empty. The lint wall adds random
+// degenerate actions and checks the linter's exact semantic rules against
+// a brute-force oracle.
 //
 // This is the widest net in the suite: it explores protocol shapes none of
 // the case studies have (asymmetric localities, multi-writer processes,
@@ -12,8 +14,13 @@
 
 #include <map>
 #include <numeric>
+#include <set>
 #include <string>
+#include <tuple>
 
+#include "analysis/lint.hpp"
+#include "lang/parser.hpp"
+#include "lang/printer.hpp"
 #include "protocol/builder.hpp"
 #include "casestudies/coloring.hpp"
 #include "casestudies/matching.hpp"
@@ -30,12 +37,52 @@ namespace {
 
 using namespace stsyn;
 
+/// A random guard over `reads` for the lint wall: comparisons of a
+/// variable with a constant (one past its domain included) or with
+/// another variable, joined by && and ||, and sometimes e && !e or
+/// e || !e, so unsatisfiable guards and tautologies occur.
+protocol::E randomGuard(util::Rng& rng,
+                        const std::vector<protocol::VarId>& reads,
+                        const std::vector<int>& domains, int depth) {
+  const auto pick = [&] { return reads[rng.below(reads.size())]; };
+  switch (depth == 0 ? 0 : rng.below(5)) {
+    case 0:
+    case 1: {
+      const protocol::VarId v = pick();
+      const protocol::E rhs =
+          rng.flip()
+              ? protocol::ref(pick())
+              : protocol::lit(static_cast<long>(rng.below(domains[v] + 1)));
+      switch (rng.below(4)) {
+        case 0: return protocol::ref(v) == rhs;
+        case 1: return protocol::ref(v) != rhs;
+        case 2: return protocol::ref(v) < rhs;
+        default: return protocol::ref(v) >= rhs;
+      }
+    }
+    case 2:
+    case 3: {
+      // Named operands: the draws must not depend on evaluation order.
+      const protocol::E a = randomGuard(rng, reads, domains, depth - 1);
+      const protocol::E b = randomGuard(rng, reads, domains, depth - 1);
+      return rng.flip() ? (a && b) : (a || b);
+    }
+    default: {
+      const protocol::E e = randomGuard(rng, reads, domains, depth - 1);
+      return rng.flip() ? (e && !e) : (e || !e);
+    }
+  }
+}
+
 /// A random protocol: 3-4 variables with domains 2-3, 2-4 processes with
 /// random read sets (always containing their writes), a random non-empty,
 /// non-full invariant built from equalities/inequalities. With `guarded`,
-/// each process also gets 1-2 guarded actions; the extra draws come last,
-/// so the action-free protocols of a given seed are unchanged.
-protocol::Protocol randomProtocol(util::Rng& rng, bool guarded = false) {
+/// each process also gets 1-2 guarded actions; with `degenerate` as well,
+/// 1-2 more actions with a randomGuard and an in-domain constant, self or
+/// copied right-hand side. The extra draws come last, so the protocols of
+/// a given seed without them are unchanged.
+protocol::Protocol randomProtocol(util::Rng& rng, bool guarded = false,
+                                  bool degenerate = false) {
   protocol::ProtocolBuilder b("random");
   const std::size_t nVars = 3 + rng.below(2);
   std::vector<protocol::VarId> vars;
@@ -97,6 +144,29 @@ protocol::Protocol randomProtocol(util::Rng& rng, bool guarded = false) {
                                      : (protocol::ref(r) != protocol::lit(rv)));
       }
       b.action(j, "A" + std::to_string(a), guard, {{w, protocol::lit(val)}});
+    }
+  }
+  for (std::size_t j = 0; guarded && degenerate && j < nProcs; ++j) {
+    const std::size_t nActions = 1 + rng.below(2);
+    for (std::size_t a = 0; a < nActions; ++a) {
+      const protocol::E guard = randomGuard(rng, procReads[j], domains, 2);
+      std::vector<std::pair<protocol::VarId, protocol::E>> assigns;
+      for (const protocol::VarId w : procWrites[j]) {
+        if (!assigns.empty() && assigns.front().first == w) continue;
+        const protocol::VarId r = procReads[j][rng.below(procReads[j].size())];
+        switch (rng.below(3)) {
+          case 0:
+            assigns.emplace_back(
+                w, protocol::lit(static_cast<long>(rng.below(domains[w]))));
+            break;
+          case 1:
+            assigns.emplace_back(w, protocol::ref(w));
+            break;
+          default:
+            assigns.emplace_back(w, protocol::ref(r).mod(domains[w]));
+        }
+      }
+      b.action(j, "D" + std::to_string(a), guard, assigns);
     }
   }
   return b.build();
@@ -209,6 +279,101 @@ TEST(RandomGuardedProtocolDifferential, EnginesAgreeOnInputRelations) {
   EXPECT_GE(outcomes[core::toString(core::Failure::PreexistingCycleUnremovable)],
             1)
       << summary;
+}
+
+/// A lint finding: rule id and source position.
+using Finding = std::tuple<std::string, int, int>;
+
+/// Brute force over every in-domain state: the guard-unsat,
+/// guard-tautology, dead-assignment and action-identity findings that
+/// docs/lint_rules.md defines, one dead-assignment per assignment.
+std::multiset<Finding> oracleFindings(const protocol::Protocol& p) {
+  const std::vector<int> domains = p.domains();
+  std::vector<std::vector<int>> states{{}};
+  for (const int d : domains) {
+    std::vector<std::vector<int>> longer;
+    for (const std::vector<int>& s : states) {
+      for (int v = 0; v < d; ++v) {
+        longer.push_back(s);
+        longer.back().push_back(v);
+      }
+    }
+    states = std::move(longer);
+  }
+  std::multiset<Finding> out;
+  for (const protocol::Process& proc : p.processes) {
+    for (const protocol::Action& a : proc.actions) {
+      const auto at = [&](const char* rule) {
+        return Finding{rule, a.loc.line, a.loc.column};
+      };
+      std::vector<const std::vector<int>*> enabled;
+      for (const std::vector<int>& s : states) {
+        if (protocol::evalBool(*a.guard, s)) enabled.push_back(&s);
+      }
+      if (enabled.empty()) {
+        out.insert(at("guard-unsat"));
+        continue;
+      }
+      if (enabled.size() == states.size()) out.insert(at("guard-tautology"));
+      bool identity = true;
+      for (const protocol::Assignment& asg : a.assigns) {
+        bool dead = true;
+        for (const std::vector<int>* s : enabled) {
+          dead = dead && protocol::evalInt(*asg.value, *s) == (*s)[asg.var];
+        }
+        if (dead) out.insert(at("dead-assignment"));
+        identity = identity && dead;
+      }
+      if (identity) out.insert(at("action-identity"));
+    }
+  }
+  return out;
+}
+
+// The linter's exact semantic rules against the brute-force oracle, on
+// guarded draws with degenerate actions added. Each draw is printed and
+// linted as source, so every action has its own position, and the wall
+// asserts the (rule, position) multisets are equal. It counts its hits
+// per rule, and every rule must both fire and stay silent somewhere.
+TEST(RandomLintDifferential, ExactRulesMatchBruteForce) {
+  const std::set<std::string> rules = {"guard-unsat", "guard-tautology",
+                                       "dead-assignment", "action-identity"};
+  std::map<std::string, int> hits;
+  int actions = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    util::Rng rng(seed * 1299709 + 3);
+    for (int instance = 0; instance < 6; ++instance) {
+      const std::string where = "seed " + std::to_string(seed) +
+                                " instance " + std::to_string(instance);
+      const std::string text = lang::printProtocol(
+          randomProtocol(rng, /*guarded=*/true, /*degenerate=*/true));
+      const protocol::Protocol p = lang::parseProtocol(text);
+      analysis::Diagnostics diags;
+      ASSERT_TRUE(analysis::lintSource(text, diags)) << where;
+      std::multiset<Finding> linted;
+      for (const analysis::Diagnostic& d : diags.items()) {
+        if (rules.contains(d.ruleId)) {
+          linted.insert({d.ruleId, d.loc.line, d.loc.column});
+        }
+      }
+      const std::multiset<Finding> expected = oracleFindings(p);
+      ASSERT_EQ(linted, expected)
+          << where << "\n" << text << analysis::formatText(diags, where);
+      for (const Finding& f : expected) ++hits[std::get<0>(f)];
+      for (const protocol::Process& proc : p.processes) {
+        actions += static_cast<int>(proc.actions.size());
+      }
+    }
+  }
+  std::string summary = std::to_string(actions) + " actions";
+  for (const std::string& rule : rules) {
+    summary += ", " + rule + ": " + std::to_string(hits[rule]);
+  }
+  RecordProperty("hits", summary);
+  for (const std::string& rule : rules) {
+    EXPECT_GE(hits[rule], 1) << summary;
+    EXPECT_LT(hits[rule], actions) << summary;
+  }
 }
 
 class RandomProtocolWeak : public ::testing::TestWithParam<std::uint64_t> {};

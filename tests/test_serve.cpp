@@ -8,6 +8,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -159,12 +160,16 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   EXPECT_EQ(badOption.find("kind")->str, "invalid_request");
 
   // Unknown keys are named in the error, including the removed
-  // image_workers, image_policy and orbit_prune, so old clients learn why
-  // they were refused.
-  for (const std::string key :
-       {"threads", "image_workers", "image_policy", "orbit_prune"}) {
+  // image_workers, image_policy and orbit_prune (synthesize) and
+  // no_symbolic (lint), so old clients learn why they were refused.
+  for (const auto& [verb, key] :
+       {std::pair<std::string, std::string>{"synthesize", "threads"},
+        {"synthesize", "image_workers"},
+        {"synthesize", "image_policy"},
+        {"synthesize", "orbit_prune"},
+        {"lint", "no_symbolic"}}) {
     auto unknownOption = parsed(roundTrip(
-        rs.port(), R"({"verb":"synthesize","protocol":"x","options":{")" +
+        rs.port(), R"({"verb":")" + verb + R"(","protocol":"x","options":{")" +
                        key + R"(":2}})"));
     EXPECT_EQ(unknownOption.find("kind")->str, "invalid_request");
     EXPECT_EQ(unknownOption.find("error")->str,
@@ -185,7 +190,7 @@ TEST(Serve, PingStatsAndInvalidRequests) {
   // exactly one of synthesize / lint / inline / invalid, so the
   // reconciliation invariant `requests == synthesize + lint + inline +
   // invalid` holds with no leakage category.
-  EXPECT_EQ(rs.server.counters().invalid.load(), 10u);
+  EXPECT_EQ(rs.server.counters().invalid.load(), 11u);
 }
 
 TEST(Serve, CacheHitReplaysByteIdenticalResult) {
