@@ -123,7 +123,6 @@ void BM_Quantify(benchmark::State& state) {
   const Bdd cube = m.cube(half);
   for (auto _ : state) {
     benchmark::DoNotOptimize(f.exists(cube));
-    benchmark::DoNotOptimize(f.forall(cube));
   }
 }
 

@@ -323,7 +323,7 @@ bool lintSource(std::string_view source, Diagnostics& diags) {
               SourceLoc{e.line, e.column});
     return false;
   } catch (const std::exception& e) {
-    // Lint is the lenient path — callers (the CLI's --lint mode, the serve
+    // Lint is the lenient path — callers (`stsyn lint`, the serve
     // daemon's validator) rely on every failure surfacing as a diagnostic,
     // so even an unexpected exception becomes one instead of escaping.
     diags.add("internal-error", Severity::Error,

@@ -1,12 +1,11 @@
-// Non-mutating BDD analyses: node counting, model counting, support,
-// evaluation, cube/assignment extraction.
+// Non-mutating BDD analyses: node counting, model counting, evaluation,
+// and model enumeration.
 //
 // These traversals allocate no new nodes, so they are safe to run at any
 // time and do not interact with garbage collection. They operate on
-// tagged edges: shared f/¬f pairs are counted once (nodeCount, support
-// walk node indices), while the truth-dependent analyses (satCount, eval,
-// onePath, forEachSat) track the complement parity accumulated along each
-// path.
+// tagged edges: shared f/¬f pairs are counted once (nodeCount walks node
+// indices), while the truth-dependent analyses (satCount, eval,
+// forEachSat) track the complement parity accumulated along each path.
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -108,41 +107,7 @@ double Bdd::satCount(std::span<const Var> levels) const {
 }
 
 // ---------------------------------------------------------------------------
-// Support.
-// ---------------------------------------------------------------------------
-
-void Manager::supportOf(NodeIndex f, std::vector<bool>& seenVar) const {
-  // Support is negation-invariant, so the walk ignores complement tags.
-  std::unordered_set<NodeIndex> seen;
-  std::vector<NodeIndex> stack{nodeOf(f)};
-  while (!stack.empty()) {
-    const NodeIndex n = stack.back();
-    stack.pop_back();
-    if (n == kTerminalNode || !seen.insert(n).second) continue;
-    seenVar[nodes_[n].var] = true;
-    stack.push_back(nodeOf(nodes_[n].low));
-    stack.push_back(nodeOf(nodes_[n].high));
-  }
-}
-
-std::vector<Var> Bdd::support() const {
-  if (!valid()) return {};
-  std::vector<bool> seen(mgr_->varCount(), false);
-  mgr_->supportOf(index_, seen);
-  std::vector<Var> out;
-  for (Var v = 0; v < seen.size(); ++v) {
-    if (seen[v]) out.push_back(v);
-  }
-  // Topmost first: sorted by current level (identical to ascending index
-  // until the first reorder).
-  std::sort(out.begin(), out.end(), [this](Var a, Var b) {
-    return mgr_->levelOf(a) < mgr_->levelOf(b);
-  });
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Evaluation and assignment extraction.
+// Evaluation and model enumeration.
 // ---------------------------------------------------------------------------
 
 bool Manager::evalOf(NodeIndex f, std::span<const char> assign) const {
@@ -163,72 +128,6 @@ bool Bdd::eval(std::span<const char> assignment) const {
     throw std::invalid_argument("eval assignment too short");
   }
   return mgr_->evalOf(index_, assignment);
-}
-
-std::vector<signed char> Bdd::onePath() const {
-  if (!valid() || isFalse()) {
-    throw std::invalid_argument("onePath of an unsatisfiable BDD");
-  }
-  std::vector<signed char> out(mgr_->varCount(), -1);
-  if (mgr_->orderIsIdentity()) {
-    // With the identity order the greedy low-first walk IS the
-    // lexicographically minimal choice by variable index, and it leaves
-    // untested variables unconstrained (-1) exactly as callers expect.
-    // The walk follows effective edges; with complement edges every
-    // internal edge denotes a non-constant (hence satisfiable) function,
-    // so "low branch satisfiable" is exactly "effective low != kFalse" —
-    // the same branch the pre-complement walk took.
-    NodeIndex e = index_;
-    while (e != Manager::kTrue) {
-      const auto& node = mgr_->nodes_[Manager::nodeOf(e)];
-      const NodeIndex low = Manager::throughEdge(e, node.low);
-      if (low != Manager::kFalse) {
-        out[node.var] = 0;
-        e = low;
-      } else {
-        out[node.var] = 1;
-        e = Manager::throughEdge(e, node.high);
-      }
-    }
-    return out;
-  }
-  // After a reorder the top-down walk would pick a path that depends on
-  // the current variable order, breaking cross-engine determinism
-  // (transition selection completes -1 entries with the minimum value, so
-  // the COMPLETED assignment must not depend on the order). Instead:
-  // assign each support variable, in ascending INDEX order, the smallest
-  // value that keeps the function satisfiable under the choices so far.
-  // The completion of this cube is the unique lexmin satisfying
-  // assignment — the same one the identity-order walk completes to.
-  std::vector<bool> inSupport(mgr_->varCount(), false);
-  mgr_->supportOf(index_, inSupport);
-  // Memoized on the EFFECTIVE edge (node plus accumulated parity): the
-  // same node reached with opposite parities denotes complementary
-  // functions with different satisfiability under the partial assignment.
-  std::unordered_map<NodeIndex, bool> memo;
-  auto sat = [&](auto&& self, NodeIndex e) -> bool {
-    if (e == Manager::kTrue) return true;
-    if (e == Manager::kFalse) return false;
-    if (const auto it = memo.find(e); it != memo.end()) return it->second;
-    const auto& node = mgr_->nodes_[Manager::nodeOf(e)];
-    const NodeIndex lo = Manager::throughEdge(e, node.low);
-    const NodeIndex hi = Manager::throughEdge(e, node.high);
-    const signed char c = out[node.var];
-    const bool ok = c == 0   ? self(self, lo)
-                    : c == 1 ? self(self, hi)
-                             : self(self, lo) || self(self, hi);
-    memo.emplace(e, ok);
-    return ok;
-  };
-  for (Var v = 0; v < mgr_->varCount(); ++v) {
-    if (!inSupport[v]) continue;
-    out[v] = 0;
-    memo.clear();
-    // The function is satisfiable under the previous choices (inductively,
-    // starting from !isFalse()), so if 0 fails then 1 must succeed.
-    if (!sat(sat, index_)) out[v] = 1;
-  }
-  return out;
 }
 
 void Bdd::forEachSat(

@@ -9,14 +9,14 @@
 //     zero-allocation bit flip, and the "then-edge is always regular"
 //     canonicalization keeps structural equality semantic,
 //   * the boolean connectives (all conjunction-shaped ones served by a
-//     single cached And kernel via De Morgan), ITE, and negation,
-//   * existential/universal quantification over variable cubes,
+//     single cached And kernel via De Morgan), Xor, and negation,
+//   * existential quantification over variable cubes,
 //   * the AndExists relational product, and the fused image kernels
 //     relNext/relPrev that step over interleaved (current, next) pairs and
 //     return their result on the current-state variables directly,
 //   * order-preserving variable renaming (current-state <-> next-state),
-//   * model counting, support computation, cube extraction, and per-BDD
-//     node counts (the space metric the paper's Figures 7/9/11 report),
+//   * model counting, model enumeration, evaluation, and per-BDD node
+//     counts (the space metric the paper's Figures 7/9/11 report),
 //   * mark-and-sweep garbage collection driven by RAII external handles,
 //   * Rudell-style dynamic variable reordering (grouped sifting) with
 //     in-place adjacent-level swaps, so external handles survive a reorder.
@@ -40,7 +40,6 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -85,7 +84,6 @@ class Bdd {
 
   [[nodiscard]] bool isFalse() const;
   [[nodiscard]] bool isTrue() const;
-  [[nodiscard]] bool isConstant() const { return isFalse() || isTrue(); }
 
   /// Structural identity; with canonical BDDs this is semantic equality.
   friend bool operator==(const Bdd& a, const Bdd& b) {
@@ -107,8 +105,6 @@ class Bdd {
 
   /// Existential quantification over the positive cube `cube`.
   [[nodiscard]] Bdd exists(const Bdd& cube) const;
-  /// Universal quantification over the positive cube `cube`.
-  [[nodiscard]] Bdd forall(const Bdd& cube) const;
   /// Relational product: exists cube. (this AND rhs), computed in one pass.
   [[nodiscard]] Bdd andExists(const Bdd& rhs, const Bdd& cube) const;
 
@@ -127,17 +123,9 @@ class Bdd {
   /// variables. Same pairs and precondition as relNext.
   [[nodiscard]] Bdd relPrev(const Bdd& states, const Bdd& within) const;
 
-  /// If-then-else with this function as the condition: (this AND g) OR
-  /// (NOT this AND h), computed in one pass.
-  [[nodiscard]] Bdd ite(const Bdd& g, const Bdd& h) const;
-
-  /// Functional composition: substitutes `g` for variable `v` in this
-  /// function (this[v := g]).
-  [[nodiscard]] Bdd compose(Var v, const Bdd& g) const;
-
   /// Renames variables: variable v becomes perm[v]. The permutation must
   /// preserve the relative ORDER (current levels) of this function's
-  /// support (checked in debug builds).
+  /// support (mk() asserts it in debug builds).
   [[nodiscard]] Bdd rename(std::span<const Var> perm) const;
 
   /// Number of BDD nodes reachable from this function (terminals excluded),
@@ -149,22 +137,9 @@ class Bdd {
   /// `vars`. Independent of the current variable order.
   [[nodiscard]] double satCount(std::span<const Var> vars) const;
 
-  /// Variable indices occurring in this function, sorted by CURRENT LEVEL
-  /// (topmost variable first). With the identity order this is ascending
-  /// by index.
-  [[nodiscard]] std::vector<Var> support() const;
-
   /// Evaluates the function on a complete assignment indexed by variable
   /// index.
   [[nodiscard]] bool eval(std::span<const char> assignment) const;
-
-  /// One satisfying cube as a per-variable-index vector: 0, 1, or -1
-  /// (don't-care). The cube returned is the lexicographically smallest
-  /// satisfying assignment BY VARIABLE INDEX (don't-cares read as 0), so
-  /// the choice is independent of the current variable order — the
-  /// cross-engine parity of `pickTransition` depends on this.
-  /// Precondition: not the constant false.
-  [[nodiscard]] std::vector<signed char> onePath() const;
 
   /// Enumerates all satisfying assignments over `vars` (strictly ascending
   /// indices; must cover the support). The callback receives a per-position
@@ -234,9 +209,6 @@ class Manager {
   /// cube). Duplicates are tolerated and ignored.
   [[nodiscard]] Bdd cube(std::span<const Var> vars);
 
-  /// Conjunction over pairs (a, b) of the biconditional a <-> b.
-  [[nodiscard]] Bdd equalVars(std::span<const std::pair<Var, Var>> pairs);
-
   [[nodiscard]] const ManagerStats& stats() const { return stats_; }
 
   /// Re-pins the manager to the calling thread after an ownership handoff
@@ -266,8 +238,6 @@ class Manager {
   [[nodiscard]] Var levelOf(Var v) const { return indexToLevel_[v]; }
   /// Variable index occupying order position `level`.
   [[nodiscard]] Var varAtLevel(Var level) const { return levelToIndex_[level]; }
-  /// True while no reorder has moved any variable off its initial level.
-  [[nodiscard]] bool orderIsIdentity() const { return orderIsIdentity_; }
   /// The full order, topmost first (levelToIndex).
   [[nodiscard]] std::vector<Var> currentOrder() const { return levelToIndex_; }
 
@@ -308,7 +278,6 @@ class Manager {
 
  private:
   friend class Bdd;
-  friend void saveBdd(std::ostream& os, const Bdd& f);
   /// Test-only backdoor (defined by the test binaries) used to plant
   /// adversarial cache entries for the GC sweep regression tests.
   friend struct ManagerTestAccess;
@@ -392,20 +361,18 @@ class Manager {
     return child ^ (e & 1u);
   }
 
-  /// Op::Not, Op::Or, and Op::Forall no longer exist: negation is a bit
-  /// flip, and Or/Nand/Nor/Forall reach the And/Exists kernels through
-  /// De Morgan — one unified cache per kernel.
+  /// Operation-cache tags. Negation is a bit flip and Or/Nand/Nor reach the
+  /// And kernel through De Morgan, so none of them has a tag of its own.
+  /// Values are pinned: the tag is hashed into the cache slot (cacheLookup).
   enum class Op : std::uint8_t {
-    And,
-    Xor,
-    Ite,
-    Exists,
-    AndExists,
-    Rename,
-    Compose,
-    Impl,
-    RelNext,
-    RelPrev,
+    And = 0,
+    Xor = 1,
+    Exists = 3,
+    AndExists = 4,
+    Rename = 5,
+    Impl = 7,
+    RelNext = 8,
+    RelPrev = 9,
   };
 
   // --- node pool -----------------------------------------------------
@@ -460,7 +427,6 @@ class Manager {
   }
   [[nodiscard]] NodeIndex xorRec(NodeIndex f, NodeIndex g);
   [[nodiscard]] bool implRec(NodeIndex f, NodeIndex g);
-  [[nodiscard]] NodeIndex iteRec(NodeIndex f, NodeIndex g, NodeIndex h);
   [[nodiscard]] NodeIndex existsRec(NodeIndex f, NodeIndex cube);
   [[nodiscard]] NodeIndex andExistsRec(NodeIndex f, NodeIndex g,
                                        NodeIndex cube);
@@ -470,7 +436,6 @@ class Manager {
                                         NodeIndex c);
   [[nodiscard]] NodeIndex renameRec(NodeIndex f, std::span<const Var> perm,
                                     std::uint64_t permTag);
-  [[nodiscard]] NodeIndex composeRec(NodeIndex f, Var v, NodeIndex g);
 
   // --- reordering (reorder.cpp) ---------------------------------------
   void buildReorderRefs();
@@ -487,7 +452,6 @@ class Manager {
   [[nodiscard]] std::size_t nodeCountOf(NodeIndex f) const;
   [[nodiscard]] double satCountOf(NodeIndex f,
                                   std::span<const Var> vars) const;
-  void supportOf(NodeIndex f, std::vector<bool>& seenVar) const;
   [[nodiscard]] bool evalOf(NodeIndex f, std::span<const char> assign) const;
 
   // Public-facing wrappers used by Bdd.
@@ -520,7 +484,6 @@ class Manager {
   // Dynamic order: index <-> level, both identity at construction.
   std::vector<Var> indexToLevel_;
   std::vector<Var> levelToIndex_;
-  bool orderIsIdentity_ = true;
 
   // Reordering configuration and scratch state.
   bool autoReorder_ = false;
@@ -547,19 +510,5 @@ class Manager {
   // Scratch marks for GC / traversals.
   std::vector<bool> marks_;
 };
-
-/// Writes `f` in a self-describing text format (variable count, node
-/// table, root) — the complement-edge-aware v2 format ("bdd2" header,
-/// refs tagged with a complement bit). Loadable by loadBdd into any
-/// manager with at least as many variables.
-void saveBdd(std::ostream& os, const Bdd& f);
-
-/// Reads a function previously written by saveBdd — either the current
-/// v2 format or the pre-complement v1 format ("bdd" header, separate
-/// false/true terminal refs), so files written before complement edges
-/// still load. Throws std::runtime_error on malformed input (bad
-/// references, rows not depending on their declared variable, variable
-/// count exceeding the manager's).
-[[nodiscard]] Bdd loadBdd(std::istream& is, Manager& manager);
 
 }  // namespace stsyn::bdd

@@ -547,14 +547,4 @@ Bdd Manager::cube(std::span<const Var> vars) {
   return wrap(acc);
 }
 
-Bdd Manager::equalVars(std::span<const std::pair<Var, Var>> pairs) {
-  Bdd acc = trueBdd();
-  for (const auto& [a, b] : pairs) {
-    const Bdd va = var(a);
-    const Bdd vb = var(b);
-    acc &= !(va ^ vb);
-  }
-  return acc;
-}
-
 }  // namespace stsyn::bdd

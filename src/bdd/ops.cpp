@@ -1,23 +1,20 @@
 // Recursive BDD operation kernels over complement edges: the unified And
-// kernel (serving And/Or/Nand/Nor through De Morgan), Xor, ITE with
-// standard-triple normalization, existential quantification (universal is
-// ¬∃¬f), the AndExists relational product, the fused image kernels
-// relNext/relPrev, the non-materializing implication test, composition,
-// and order-preserving renaming.
+// kernel (serving And/Or/Nand/Nor through De Morgan), Xor, existential
+// quantification, the AndExists relational product, the fused image
+// kernels relNext/relPrev, the non-materializing implication test, and
+// order-preserving renaming.
 //
 // Negation is NOT a kernel any more: with complement edges it is an O(1)
 // bit flip on the handle (operator! below), allocates nothing, and needs
 // no cache. The kernels exploit the structural visibility of negation —
-// f ∧ ¬f = false, f ∨ ¬f = true, ITE(f, g, ¬g) = ¬(f ⊕ g) — as terminal
-// rules, and sign-normalize their operands (Xor, Compose, Rename, the ITE
-// standard triple) so all four sign combinations of an operand pair share
-// one cache entry.
+// f ∧ ¬f = false, f ∨ ¬f = true — as terminal rules, and sign-normalize
+// their operands (Xor, Rename) so all sign combinations of an operand
+// pair share one cache entry.
 //
 // All kernels share the direct-mapped operation cache. Kernels never
 // trigger garbage collection (see maybeGc() in manager.cpp); the public
 // wrappers run it before starting.
 #include <algorithm>
-#include <cassert>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -139,72 +136,7 @@ bool Manager::implRec(NodeIndex f, NodeIndex g) {
 }
 
 // ---------------------------------------------------------------------------
-// ITE with standard-triple normalization.
-// ---------------------------------------------------------------------------
-
-NodeIndex Manager::iteRec(NodeIndex f, NodeIndex g, NodeIndex h) {
-  // Terminal and absorption rules; branches equal to ±f collapse to
-  // constants (ITE(f, f, h) = ITE(f, 1, h) etc.).
-  if (f == kTrue) return g;
-  if (f == kFalse) return h;
-  if (g == f) g = kTrue;
-  else if (g == negateEdge(f)) g = kFalse;
-  if (h == f) h = kFalse;
-  else if (h == negateEdge(f)) h = kTrue;
-  if (g == h) return g;
-  if (g == kTrue && h == kFalse) return f;
-  if (g == kFalse && h == kTrue) return negateEdge(f);
-  // Constant branches route to the cached And/Xor kernels rather than
-  // running a private recursion that would duplicate their caches.
-  if (g == kTrue) return orRec(f, h);
-  if (g == kFalse) return andRec(negateEdge(f), h);
-  if (h == kFalse) return andRec(f, g);
-  if (h == kTrue) return orRec(negateEdge(f), g);
-  if (g == negateEdge(h)) return negateEdge(xorRec(f, g));
-
-  // Standard triple: make the condition regular (ITE(¬f, g, h) =
-  // ITE(f, h, g)), then the then-branch regular (ITE(f, ¬g, ¬h) =
-  // ¬ITE(f, g, h)), so equivalent triples share one cache entry.
-  if (isComplement(f)) {
-    f = negateEdge(f);
-    std::swap(g, h);
-  }
-  bool complementOut = false;
-  if (isComplement(g)) {
-    complementOut = true;
-    g = negateEdge(g);
-    h = negateEdge(h);
-  }
-
-  NodeIndex cached;
-  if (cacheLookup(Op::Ite, f, g, h, cached))
-    return complementOut ? negateEdge(cached) : cached;
-
-  // All three are internal here (constant branches were routed above), so
-  // every level is real; the topmost (smallest level) splits first.
-  const Var lf = nodeLevel(f);
-  const Var lg = nodeLevel(g);
-  const Var lh = nodeLevel(h);
-  Var topLevel = lf;
-  if (lg < topLevel) topLevel = lg;
-  if (lh < topLevel) topLevel = lh;
-  const Var top = levelToIndex_[topLevel];
-
-  auto cof = [&](NodeIndex e, bool hi) {
-    const Node& node = nodes_[nodeOf(e)];
-    if (node.var != top) return e;
-    return throughEdge(e, hi ? node.high : node.low);
-  };
-  const NodeIndex low = iteRec(cof(f, false), cof(g, false), cof(h, false));
-  const NodeIndex high = iteRec(cof(f, true), cof(g, true), cof(h, true));
-  const NodeIndex result = mk(top, low, high);
-  cacheStore(Op::Ite, f, g, h, result);
-  return complementOut ? negateEdge(result) : result;
-}
-
-// ---------------------------------------------------------------------------
-// Quantification. Universal quantification has no kernel of its own:
-// ∀x.f = ¬∃x.¬f, two bit flips around the Exists kernel (see forall).
+// Quantification.
 // ---------------------------------------------------------------------------
 
 NodeIndex Manager::existsRec(NodeIndex f, NodeIndex cube) {
@@ -370,34 +302,6 @@ NodeIndex Manager::relProductRec(Op op, NodeIndex s, NodeIndex r,
   return result;
 }
 
-NodeIndex Manager::composeRec(NodeIndex f, Var v, NodeIndex g) {
-  if (regularEdge(f) == kTrue) return f;  // constants: nothing to replace
-  // Sign-normalize: (¬f)[v := g] = ¬(f[v := g]); recurse and cache on the
-  // regular edge only.
-  if (isComplement(f)) return negateEdge(composeRec(negateEdge(f), v, g));
-  const Node nf = nodes_[nodeOf(f)];  // copy: recursion may reallocate
-  if (indexToLevel_[nf.var] > indexToLevel_[v]) {
-    return f;  // v cannot appear below its own level
-  }
-  NodeIndex cached;
-  if (cacheLookup(Op::Compose, f, static_cast<NodeIndex>(v), g, cached)) {
-    return cached;
-  }
-  NodeIndex result;
-  if (nf.var == v) {
-    result = iteRec(g, nf.high, nf.low);
-  } else {
-    const NodeIndex low = composeRec(nf.low, v, g);
-    const NodeIndex high = composeRec(nf.high, v, g);
-    // g may depend on variables above nf.var, so rebuild with a full ITE
-    // on nf.var's projection rather than mk().
-    const NodeIndex proj = mk(nf.var, kFalse, kTrue);
-    result = iteRec(proj, high, low);
-  }
-  cacheStore(Op::Compose, f, static_cast<NodeIndex>(v), g, result);
-  return result;
-}
-
 // ---------------------------------------------------------------------------
 // Renaming.
 // ---------------------------------------------------------------------------
@@ -460,37 +364,10 @@ bool Bdd::implies(const Bdd& rhs) const {
   return m->implRec(index_, rhs.index_);
 }
 
-Bdd Bdd::ite(const Bdd& g, const Bdd& h) const {
-  Manager* m = commonManager(*this, g);
-  if (h.manager() != m) {
-    throw std::invalid_argument("BDD operands from different managers");
-  }
-  m->maybeGc();
-  return m->wrap(m->iteRec(index_, g.raw(), h.raw()));
-}
-
-Bdd Bdd::compose(Var v, const Bdd& g) const {
-  Manager* m = commonManager(*this, g);
-  if (v >= m->varCount()) {
-    throw std::out_of_range("compose: variable out of range");
-  }
-  m->maybeGc();
-  return m->wrap(m->composeRec(index_, v, g.raw()));
-}
-
 Bdd Bdd::exists(const Bdd& cube) const {
   Manager* m = commonManager(*this, cube);
   m->maybeGc();
   return m->wrap(m->existsRec(index_, cube.index_));
-}
-
-Bdd Bdd::forall(const Bdd& cube) const {
-  Manager* m = commonManager(*this, cube);
-  m->maybeGc();
-  // ∀x.f = ¬∃x.¬f — two free bit flips around the Exists kernel, so
-  // universal quantification shares its cache.
-  return m->wrap(Manager::negateEdge(
-      m->existsRec(Manager::negateEdge(index_), cube.index_)));
 }
 
 Bdd Bdd::andExists(const Bdd& rhs, const Bdd& cube) const {
@@ -527,19 +404,6 @@ Bdd Bdd::rename(std::span<const Var> perm) const {
   if (perm.size() != mgr_->varCount()) {
     throw std::invalid_argument("rename permutation has wrong arity");
   }
-#ifndef NDEBUG
-  {
-    // Precondition: the permutation preserves the relative LEVEL order of
-    // this function's support. (Our current<->next renamings always do:
-    // the quantified side has been projected away first, and sifting moves
-    // each (current, next) pair as one block.) support() is level-sorted.
-    const std::vector<Var> sup = support();
-    for (std::size_t i = 1; i < sup.size(); ++i) {
-      assert(mgr_->levelOf(perm[sup[i - 1]]) < mgr_->levelOf(perm[sup[i]]) &&
-             "rename permutation must be monotone on the support");
-    }
-  }
-#endif
   // Intern the permutation so the cache can distinguish different
   // renamings. A content-hash index keyed on the permutation makes the
   // repeated current<->next renames an O(1) map hit instead of a linear

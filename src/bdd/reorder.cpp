@@ -107,10 +107,6 @@ void Manager::setLevelOrder(std::span<const Var> levelToIndex) {
   reorderRefs_.clear();
   reorderRefs_.shrink_to_fit();
   stats_.liveNodes = liveNodes_;
-  orderIsIdentity_ = true;
-  for (Var v = 0; v < varCount_; ++v) {
-    orderIsIdentity_ = orderIsIdentity_ && levelToIndex_[v] == v;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -280,7 +276,6 @@ void Manager::swapAdjacentLevels(Var level) {
   levelToIndex_[level + 1] = vi;
   indexToLevel_[vi] = level + 1;
   indexToLevel_[vj] = level;
-  orderIsIdentity_ = false;
 }
 
 // ---------------------------------------------------------------------------

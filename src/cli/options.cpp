@@ -26,7 +26,7 @@ int usage(std::ostream& err) {
          " [--explain] [--print] [--quiet]"
          " [--output FILE] [--stats-json FILE] [--trace FILE]\n"
          "       stsyn lint <protocol.stsyn> [--werror]"
-         " [--format=sarif|text]   (or: stsyn <protocol.stsyn> --lint ...)\n"
+         " [--format=sarif|text]\n"
          "       stsyn serve [--port N] [--workers N] [--queue N]"
          " [--cache N] [--cache-dir PATH] [--max-inflight N]"
          " [--trace FILE]\n";
@@ -88,8 +88,6 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       weak = true;
     } else if (!std::strcmp(a, "--verify")) {
       verifyOnly = true;
-    } else if (!std::strcmp(a, "--lint")) {
-      out.mode = Mode::Lint;
     } else if (!std::strcmp(a, "--werror")) {
       out.werror = true;
     } else if (!std::strncmp(a, "--format=", 9)) {

@@ -40,7 +40,7 @@ enum class Mode : std::uint8_t {
   Synth,    ///< add strong convergence (default)
   Weak,     ///< --weak
   Verify,   ///< --verify
-  Lint,     ///< `stsyn lint` / --lint
+  Lint,     ///< `stsyn lint`
   Serve,    ///< `stsyn serve`
 };
 

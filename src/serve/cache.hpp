@@ -47,8 +47,6 @@ class ResultCache {
   std::size_t enablePersistence(const std::string& dir,
                                 std::size_t* rejected = nullptr);
 
-  [[nodiscard]] const std::string& persistDir() const { return dir_; }
-
   [[nodiscard]] std::size_t size() const;
 
  private:

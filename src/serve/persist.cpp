@@ -56,8 +56,8 @@ void loadResultDocument(std::istream& is, std::string& key,
   if (version != kVersion) {
     throw std::runtime_error("cache entry: unsupported version");
   }
-  // Reject implausible declared sizes before allocating for them — the
-  // same discipline bdd::load applies to its node count.
+  // Reject implausible declared sizes before allocating for them: a
+  // hostile header must not turn into a multi-gigabyte allocation.
   if (keyBytes > kMaxPersistKeyBytes || resultBytes > kMaxPersistResultBytes) {
     throw std::runtime_error("cache entry: declared size is implausible");
   }

@@ -1,17 +1,18 @@
 // On-disk persistence for the serve result cache.
 //
-// One cache entry = one file in --cache-dir, holding a versioned document
-// in the bdd::save style: a human-readable header that declares sizes up
-// front, then the exact bytes. Format (version 1):
+// One cache entry = one file in --cache-dir, holding a versioned document:
+// a human-readable header that declares sizes up front, then the exact
+// bytes. Format (version 1):
 //
 //   stsynres 1 <keyBytes> <resultBytes>\n
 //   <key bytes><result bytes>
 //
-// The loader applies the same rejection discipline as bdd::load: wrong
-// magic or version, implausible declared sizes, truncated payloads, and
-// trailing garbage all fail with a clean std::runtime_error — a corrupt
-// entry degrades to a cache miss, never to a wrong or torn answer. The
-// result fragment is stored verbatim, so a restarted daemon replays it
+// The loader checks each declared size against a hard cap before it
+// allocates, then reads exactly the declared bytes. Wrong magic or
+// version, implausible declared sizes, truncated payloads, and trailing
+// garbage all fail with a clean std::runtime_error — a corrupt entry
+// degrades to a cache miss, never to a wrong or torn answer. The result
+// fragment is stored verbatim, so a restarted daemon replays it
 // byte-for-byte.
 //
 // Writes are atomic: the document goes to a unique temp file in the same

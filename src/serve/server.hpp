@@ -35,9 +35,8 @@
 // synthesis and replays the stored program + stats document byte-for-
 // byte with "cache_hit":true. With --cache-dir the cache is persistent:
 // entries are versioned on-disk documents (serve/persist.hpp) loaded on
-// start with the same corrupt/truncated rejection discipline as
-// bdd::load, so a restarted daemon answers warm requests without
-// re-deriving anything.
+// start; a corrupt, truncated or oversized entry is skipped as a miss, so
+// a restarted daemon answers warm requests without re-deriving anything.
 #pragma once
 
 #include <atomic>

@@ -142,54 +142,6 @@ Bdd Encoding::stateBdd(std::span<const int> state) const {
   return s;
 }
 
-std::vector<int> Encoding::completeState(
-    std::span<const signed char> path) const {
-  std::vector<int> state(proto_.vars.size());
-  for (VarId v = 0; v < proto_.vars.size(); ++v) {
-    int chosen = -1;
-    for (int val = 0; val < proto_.vars[v].domain && chosen < 0; ++val) {
-      bool ok = true;
-      for (int k = 0; k < bits_[v] && ok; ++k) {
-        const signed char bit = path[curLevels_[v][k]];
-        if (bit >= 0 && bit != ((val >> k) & 1)) ok = false;
-      }
-      if (ok) chosen = val;
-    }
-    if (chosen < 0) {
-      throw std::logic_error("completeState: path excludes every domain value"
-                             " (predicate not within validCur)");
-    }
-    state[v] = chosen;
-  }
-  return state;
-}
-
-std::pair<std::vector<int>, std::vector<int>> Encoding::completeTransition(
-    std::span<const signed char> path) const {
-  auto complete = [&](const std::vector<std::vector<bdd::Var>>& levels) {
-    std::vector<int> state(proto_.vars.size());
-    for (VarId v = 0; v < proto_.vars.size(); ++v) {
-      int chosen = -1;
-      for (int val = 0; val < proto_.vars[v].domain && chosen < 0; ++val) {
-        bool ok = true;
-        for (int k = 0; k < bits_[v] && ok; ++k) {
-          const signed char bit = path[levels[v][k]];
-          if (bit >= 0 && bit != ((val >> k) & 1)) ok = false;
-        }
-        if (ok) chosen = val;
-      }
-      if (chosen < 0) {
-        throw std::logic_error(
-            "completeTransition: path excludes every domain value "
-            "(relation not within valid codes)");
-      }
-      state[v] = chosen;
-    }
-    return state;
-  };
-  return {complete(curLevels_), complete(nextLevels_)};
-}
-
 std::vector<int> Encoding::decodeCur(std::span<const char> bits) const {
   assert(bits.size() == allCur_.size());
   std::vector<int> state(proto_.vars.size());

@@ -54,12 +54,9 @@ class Encoding {
     return bitPairs_;
   }
 
-  /// All current / next levels of the whole state, ascending.
+  /// All current levels of the whole state, ascending.
   [[nodiscard]] const std::vector<bdd::Var>& allCurLevels() const {
     return allCur_;
-  }
-  [[nodiscard]] const std::vector<bdd::Var>& allNextLevels() const {
-    return allNext_;
   }
 
   /// Indicator predicates: variable v equals `value` in the current / next
@@ -89,17 +86,6 @@ class Encoding {
 
   /// The BDD of a single concrete state (current-state copy).
   [[nodiscard]] bdd::Bdd stateBdd(std::span<const int> state) const;
-
-  /// Completes a partial path (per-level 0/1/-1 from Bdd::onePath) into a
-  /// concrete state, choosing the smallest in-domain value for each
-  /// variable consistent with the fixed current-state bits.
-  [[nodiscard]] std::vector<int> completeState(
-      std::span<const signed char> path) const;
-
-  /// Completes a partial path of a transition relation into one concrete
-  /// (state, next state) pair, smallest-value completion on both copies.
-  [[nodiscard]] std::pair<std::vector<int>, std::vector<int>>
-  completeTransition(std::span<const signed char> path) const;
 
   /// Decodes a 0/1 assignment over allCurLevels() (aligned with that
   /// vector) into a concrete state.

@@ -201,9 +201,9 @@ std::vector<int> SymbolicProtocol::pickState(const Bdd& s) const {
   }
   // Canonical pick: the VarId-lexicographically smallest member, found by
   // successively restricting to the smallest feasible value per variable.
-  // Unlike onePath() (which depends on the level order), this choice is
-  // identical under every variable layout, so SCC pivots and the greedy
-  // pass's picks do not drift when sifting reorders the levels mid-run.
+  // Unlike a walk down the diagram (which depends on the level order), this
+  // choice is identical under every variable layout, so SCC pivots and the
+  // greedy pass's picks do not drift when sifting reorders the levels.
   Bdd rest = s;
   std::vector<int> state(enc_.proto().vars.size());
   for (protocol::VarId v = 0; v < enc_.proto().vars.size(); ++v) {

@@ -173,7 +173,7 @@ TEST(ParseArgs, UsageNamesEveryAcceptedFlag) {
        it != std::sregex_iterator(); ++it) {
     flags.insert((*it)[1].str());
   }
-  EXPECT_GE(flags.size(), 22u);
+  EXPECT_GE(flags.size(), 21u);
   for (const std::string& flag : flags) {
     EXPECT_NE(usageText.str().find(flag), std::string::npos)
         << flag << " is missing from the usage text";

@@ -12,6 +12,7 @@
 // disconnected reads).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <numeric>
 #include <set>
@@ -411,7 +412,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RandomProtocolWeak,
 
 // ---------------------------------------------------------------------------
 // Analysis parity under complement edges: satCount, forEachSat (via
-// decodeStates) and onePath must agree with the explicit state space on
+// decodeStates) and pickState must agree with the explicit state space on
 // random protocols — for a predicate AND its complement, since the
 // complemented operand exercises the 2^n - count correction and the
 // effective-edge walks that the representation rewrite introduced.
@@ -450,16 +451,27 @@ TEST_P(AnalysisParity, CountEnumerateAndWitnessMatchExplicit) {
         << "seed " << GetParam() << " instance " << instance;
     EXPECT_EQ(symbolic::decodeStates(enc, outside), outStates);
 
-    // onePath parity: the completed witness lies in the set it was drawn
-    // from, on both sides of the complement.
-    if (!inv.isFalse()) {
-      const auto st = enc.completeState(inv.onePath());
-      EXPECT_TRUE(space.inInvariant(symbolic::packState(p, st)));
-    }
-    if (!outside.isFalse()) {
-      const auto st = enc.completeState(outside.onePath());
-      EXPECT_FALSE(space.inInvariant(symbolic::packState(p, st)));
-    }
+    // pickState parity: the pick (SCC pivots and --verify witnesses use
+    // it) lies in the set it was drawn from and is the VarId-lexicographic
+    // minimum of the explicit scan, on both sides of the complement.
+    // Compared as unpacked vectors: packState puts variable 0 in the least
+    // significant digit, so packed order is not VarId order.
+    const auto expectLexminPick = [&](const bdd::Bdd& set,
+                                      const std::vector<std::uint64_t>& members,
+                                      bool inInvariant) {
+      if (members.empty()) return;
+      std::vector<int> lexmin = symbolic::unpackState(p, members.front());
+      for (const std::uint64_t s : members) {
+        lexmin = std::min(lexmin, symbolic::unpackState(p, s));
+      }
+      const std::vector<int> picked = sp.pickState(set);
+      EXPECT_EQ(space.inInvariant(symbolic::packState(p, picked)), inInvariant)
+          << "seed " << GetParam() << " instance " << instance;
+      EXPECT_EQ(picked, lexmin)
+          << "seed " << GetParam() << " instance " << instance;
+    };
+    expectLexminPick(inv, inStates, true);
+    expectLexminPick(outside, outStates, false);
   }
 }
 

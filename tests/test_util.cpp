@@ -55,21 +55,6 @@ TEST(Timer, StopwatchAndAccumulatorAdvance) {
   EXPECT_LT(w.seconds(), total + 1.0);
 }
 
-TEST(BddIte, MatchesDefinitionAndTerminalCases) {
-  bdd::Manager m(4);
-  const bdd::Bdd a = m.var(0);
-  const bdd::Bdd g = m.var(1) & m.var(2);
-  const bdd::Bdd h = m.var(3);
-  EXPECT_TRUE(a.ite(g, h) == ((a & g) | ((!a) & h)));
-  EXPECT_TRUE(m.trueBdd().ite(g, h) == g);
-  EXPECT_TRUE(m.falseBdd().ite(g, h) == h);
-  EXPECT_TRUE(a.ite(m.trueBdd(), m.falseBdd()) == a);
-  EXPECT_TRUE(a.ite(m.falseBdd(), m.trueBdd()) == !a);
-
-  bdd::Manager other(4);
-  EXPECT_THROW((void)a.ite(g, other.var(0)), std::invalid_argument);
-}
-
 TEST(Encoding, SingletonDomainVariables) {
   // A domain-1 variable still occupies one (forced-to-zero) bit.
   protocol::ProtocolBuilder b("tiny");
