@@ -60,6 +60,7 @@ int parseArgs(int argc, const char* const* argv, Options& out,
   }
 
   const char* path = nullptr;
+  const char* lintOnlyFlag = nullptr;  // first --werror/--format= seen
   unsigned portfolio = 0;
   bool weak = false;
   bool verifyOnly = false;
@@ -90,7 +91,9 @@ int parseArgs(int argc, const char* const* argv, Options& out,
       verifyOnly = true;
     } else if (!std::strcmp(a, "--werror")) {
       out.werror = true;
+      if (lintOnlyFlag == nullptr) lintOnlyFlag = "--werror";
     } else if (!std::strncmp(a, "--format=", 9)) {
+      if (lintOnlyFlag == nullptr) lintOnlyFlag = "--format=";
       out.lintFormat = a + 9;
       if (out.lintFormat != "text" && out.lintFormat != "sarif") {
         return usage(err);
@@ -192,6 +195,19 @@ int parseArgs(int argc, const char* const* argv, Options& out,
     if (weak && verifyOnly) return usage(err);
     if (weak) out.mode = Mode::Weak;
     if (verifyOnly) out.mode = Mode::Verify;
+  }
+
+  // A flag outside the mode that reads it is refused, not ignored.
+  if (lintOnlyFlag != nullptr && out.mode != Mode::Lint) {
+    err << "stsyn: " << lintOnlyFlag << " applies only to `stsyn lint`\n";
+    return 2;
+  }
+  if (!out.outputPath.empty() &&
+      (out.mode == Mode::Weak || out.mode == Mode::Verify)) {
+    err << "stsyn: --output has no program to write under "
+        << (out.mode == Mode::Weak ? "--weak" : "--verify")
+        << " (only strong synthesis renders one)\n";
+    return 2;
   }
 
   out.portfolio = portfolio;

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "obs/trace.hpp"
-#include "symbolic/scc.hpp"
 #include "util/cancel.hpp"
 #include "util/timer.hpp"
 
@@ -164,12 +163,10 @@ class Synthesizer {
     // a transition inside a component is discarded. pss|¬I is acyclic by
     // construction throughout the passes, so every component lies in the
     // batch's cycle cone and takes one of its group edges: detection runs
-    // on the cone only, seeded with the sources of those edges, and is
-    // skipped outright when the cone is empty (the batch provably closes
-    // no cycle).
+    // on the cone only, and is skipped outright when the cone is empty
+    // (the batch provably closes no cycle).
     const Bdd candidate = pss_ | groups;
     Bdd cone;
-    Bdd seeds;
     {
       obs::AccumSpan timeIt(stats_.sccSeconds, "acyclic_increment", "scc");
       cone = symbolic::cycleCone(sp_, candidate, groups, notI_,
@@ -179,12 +176,12 @@ class Synthesizer {
         commit(j, groups);
         return;
       }
-      seeds = sp_.sources(sp_.restrictRel(groups, cone));
     }
-    const symbolic::SccResult sccs = detectSccs(candidate, cone, &seeds);
-    for (const Bdd& c : sccs.components) {
-      const Bdd bad = groups & c & sp_.onNext(c);
-      if (!bad.isFalse()) groups = groups.minus(sp_.groupExpand(j, bad));
+    {
+      obs::AccumSpan timeIt(stats_.sccSeconds, "scc_detect", "scc");
+      symbolic::SccResult sccs;
+      groups = removeCyclicGroups(sp_, j, candidate, groups, cone, &sccs);
+      recordDetection(sccs, cone, timeIt.span());
     }
     if (groups.isFalse()) return;
 
@@ -200,21 +197,25 @@ class Synthesizer {
   /// Deadlocks of the current pss — valid ¬I states with no successor.
   [[nodiscard]] Bdd computeDeadlocks() const { return sp_.deadlocks(pss_); }
 
-  /// Non-trivial SCCs of `rel` within `domain` (all of ¬I, or a cycle
-  /// cone with its seeds), recorded in the stats and on the trace span.
+  /// Non-trivial SCCs of `rel` within all of ¬I, recorded.
   [[nodiscard]] symbolic::SccResult detectSccs(const Bdd& rel,
-                                               const Bdd& domain,
-                                               const Bdd* seeds = nullptr) {
+                                               const Bdd& domain) {
     obs::AccumSpan timeIt(stats_.sccSeconds, "scc_detect", "scc");
-    symbolic::SccResult r = symbolic::nontrivialSccs(sp_, rel, domain, seeds);
-    timeIt.span().arg("components", r.components.size());
-    timeIt.span().arg("symbolic_steps", r.symbolicSteps);
-    timeIt.span().arg("cone_nodes", domain.nodeCount());
+    symbolic::SccResult r = symbolic::nontrivialSccs(sp_, rel, domain);
+    recordDetection(r, domain, timeIt.span());
+    return r;
+  }
+
+  /// Records one SCC detection over `domain` in the stats and on its span.
+  void recordDetection(const symbolic::SccResult& r, const Bdd& domain,
+                       obs::Span& span) {
+    span.arg("components", r.components.size());
+    span.arg("symbolic_steps", r.symbolicSteps);
+    span.arg("cone_nodes", domain.nodeCount());
     stats_.sccDetectionCalls += 1;
     stats_.sccComponentsFound += r.components.size();
     stats_.sccSymbolicSteps += r.symbolicSteps;
     for (const Bdd& c : r.components) stats_.sccNodesTotal += c.nodeCount();
-    return r;
   }
 
   const SymbolicProtocol& sp_;
@@ -228,6 +229,23 @@ class Synthesizer {
 };
 
 }  // namespace
+
+Bdd removeCyclicGroups(const SymbolicProtocol& sp, std::size_t j,
+                       const Bdd& candidate, Bdd groups, const Bdd& domain,
+                       symbolic::SccResult* detection) {
+  Bdd seeds = sp.sources(sp.restrictRel(groups, domain));
+  symbolic::SccResult sccs = symbolic::nontrivialSccs(
+      sp, candidate, domain, &seeds, [&](const Bdd& c) {
+        const Bdd bad = groups & c & sp.onNext(c);
+        if (!bad.isFalse()) {
+          groups = groups.minus(sp.groupExpand(j, bad));
+          seeds = sp.sources(sp.restrictRel(groups, domain));
+        }
+        return seeds;
+      });
+  if (detection != nullptr) *detection = std::move(sccs);
+  return groups;
+}
 
 StrongResult addStrongConvergence(const SymbolicProtocol& sp,
                                   const StrongOptions& options) {

@@ -38,7 +38,11 @@ namespace stsyn::core {
 /// v7: the portfolio object's `symmetry_orbits`, `schedules_pruned` and
 /// per-instance `pruned` keys are gone with orbit pruning (see
 /// docs/observability.md).
-inline constexpr int kStatsJsonSchemaVersion = 7;
+/// v8: `scc_components_found` counts the components the passes' detection
+/// visited, no longer every component of the searched domain, and
+/// `image_ops`/`preimage_ops` include the cycle-core trim's products (see
+/// docs/observability.md).
+inline constexpr int kStatsJsonSchemaVersion = 8;
 
 struct SynthesisStats {
   double rankingSeconds = 0.0;
@@ -51,6 +55,8 @@ struct SynthesisStats {
   /// Batches proven acyclic by the incremental cone test, skipping full
   /// SCC detection (always the case for the coloring protocol).
   std::size_t sccFastPathHits = 0;
+  /// Non-trivial SCCs visited: all of them in preprocessing and verify,
+  /// in the passes only those reached before no seed was left.
   std::size_t sccComponentsFound = 0;
   std::size_t sccNodesTotal = 0;  ///< sum over components of BDD node counts
   std::size_t sccSymbolicSteps = 0;

@@ -73,30 +73,39 @@ bool hasInternalEdge(const SymbolicProtocol& sp, const Bdd& rel,
 /// Trims `domain` to its cycle core: repeatedly drop states with no
 /// successor or no predecessor inside the remaining set. Every non-trivial
 /// SCC survives, and on cycle-free graphs the core empties out in
-/// O(longest chain) rounds. The relation is re-restricted to the shrinking
-/// core so each round's operands keep getting smaller.
+/// O(longest chain) rounds. Each round is two fused products confined to
+/// the shrinking set inside the kernel: the states with a successor in the
+/// core, then those of them with a predecessor among them. The loop stops
+/// at the greatest fixpoint, the same core as dropping both kinds of state
+/// at once would give.
 Bdd trimToCore(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& domain,
                std::size_t& steps) {
-  Bdd r = sp.restrictRel(rel, domain);
+  obs::Span span("trim_to_core", "scc");
   Bdd core = domain;
-  for (;;) {
-    const Bdd keep = core & sp.sources(r) & sp.targets(r);
-    steps += 2;
-    if (keep == core) return core;
+  std::size_t rounds = 0;
+  while (!core.isFalse()) {
+    const Bdd withSucc = sp.preimage(rel, core, core);
+    const Bdd keep = sp.image(rel, withSucc, withSucc);
+    ++rounds;
+    if (keep == core) break;
     core = keep;
-    if (core.isFalse()) return core;
-    r = sp.restrictRel(r, core);
   }
+  steps += 2 * rounds;
+  span.arg("rounds", rounds);
+  return core;
 }
 
 }  // namespace
 
 SccResult nontrivialSccs(const SymbolicProtocol& sp, const Bdd& rel,
-                         const Bdd& domain, const Bdd* seeds) {
+                         const Bdd& domain, const Bdd* seeds,
+                         const SccVisitor& visit) {
+  assert((seeds != nullptr || !visit) && "a visitor needs seeds to shrink");
   obs::Span span("nontrivial_sccs", "scc");
   span.arg("seeded", seeds != nullptr);
   SccResult result;
   std::size_t dropped = 0;
+  Bdd liveSeeds = seeds != nullptr ? *seeds : Bdd();
   const Bdd core = trimToCore(sp, rel, domain, result.symbolicSteps);
   if (!core.isFalse()) {
     std::vector<Bdd> work{core};
@@ -107,9 +116,9 @@ SccResult nontrivialSccs(const SymbolicProtocol& sp, const Bdd& rel,
       assert(v.implies(sp.enc().validCur()) &&
              "SCC work set escaped the valid state codes");
 
-      // Seeds hit every non-trivial SCC, and SCCs never straddle work
-      // sets: a set without a seed holds only trivial ones.
-      const Bdd candidates = seeds != nullptr ? v & *seeds : v;
+      // Seeds hit every non-trivial SCC still needed, and SCCs never
+      // straddle work sets: a set without a seed holds none of them.
+      const Bdd candidates = seeds != nullptr ? v & liveSeeds : v;
       if (candidates.isFalse()) {
         ++dropped;
         continue;
@@ -119,6 +128,7 @@ SccResult nontrivialSccs(const SymbolicProtocol& sp, const Bdd& rel,
 
       if (hasInternalEdge(sp, rel, ls.scc)) {
         result.components.push_back(ls.scc);
+        if (visit) liveSeeds = visit(ls.scc);
       }
       // SCCs never straddle the converged set: recurse on both sides.
       work.push_back(ls.converged & !ls.scc);

@@ -4,7 +4,8 @@
 // algorithm of Gentilini et al. We implement the lockstep divide-and-conquer
 // scheme (Bloem/Gabow/Somenzi) over a relation and SymbolicProtocol's
 // counted, cancellable image/preimage products, with a cycle-core trimming
-// prepass.
+// prepass. A per-component visitor lets the heuristic stop the search once
+// the components left cannot change its answer.
 //
 // Lockstep is the only backend. The heuristic runs it on a cycle cone
 // (cycleCone below) with pivots seeded from the increment's sources: on
@@ -13,6 +14,7 @@
 // is cross-checked against an explicit Tarjan oracle in the test suite.
 #pragma once
 
+#include <functional>
 #include <vector>
 
 #include "symbolic/relations.hpp"
@@ -30,19 +32,33 @@ struct SccResult {
   std::size_t symbolicSteps = 0;
 };
 
+/// Called on each non-trivial SCC as lockstep finds it; returns the seeds
+/// for the rest of the search.
+using SccVisitor = std::function<bdd::Bdd(const bdd::Bdd& component)>;
+
 /// Computes the non-trivial SCCs of `rel` restricted to the state set
 /// `domain` (both endpoints inside `domain`).
 ///
 /// With `seeds`, every lockstep pivot is drawn from the seed states, and a
 /// work set holding no seed is dropped without a search. Precondition:
-/// `seeds` hits every non-trivial SCC of rel|domain — a component without
-/// a seed is silently missed. The heuristic's passes satisfy it with the
-/// sources of the increment's edges inside the cycle cone, since their
-/// base relation is acyclic and so every cycle takes an increment edge.
+/// `seeds` hits every non-trivial SCC of rel|domain the caller needs — a
+/// component without a seed is silently missed. The heuristic's passes
+/// satisfy it with the sources of the increment's edges inside the cycle
+/// cone, since their base relation is acyclic and so every cycle takes an
+/// increment edge.
+///
+/// With `visit` (seeded calls only), each component is handed to it as it
+/// is found, and its return value replaces the seeds from then on. The
+/// visitor may shrink the seeds to the components it still needs: the
+/// components it drops are never searched, and `components` then holds
+/// the visited ones only. The passes return the sources of the group
+/// edges that survive the removal, so detection stops once every
+/// remaining component could only hit groups already removed.
 [[nodiscard]] SccResult nontrivialSccs(const SymbolicProtocol& sp,
                                        const bdd::Bdd& rel,
                                        const bdd::Bdd& domain,
-                                       const bdd::Bdd* seeds = nullptr);
+                                       const bdd::Bdd* seeds = nullptr,
+                                       const SccVisitor& visit = {});
 
 /// True iff `rel` restricted to `domain` contains a cycle — equivalent to
 /// nontrivialSccs(...).components being non-empty but cheaper when the

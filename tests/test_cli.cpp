@@ -210,6 +210,34 @@ TEST(ParseArgs, ConflictingAndUnknownFlags) {
       << err;
 }
 
+TEST(ParseArgs, FlagsOutsideTheirModeAreRefused) {
+  // Each of these used to be accepted and then ignored: a weak or verify
+  // run writes no program, and only lint reads --werror/--format=.
+  const std::vector<std::pair<std::vector<const char*>, std::string>> bad = {
+      {{"p.stsyn", "--weak", "--output", "F"},
+       "stsyn: --output has no program to write under --weak"},
+      {{"p.stsyn", "--verify", "--output", "F"},
+       "stsyn: --output has no program to write under --verify"},
+      {{"p.stsyn", "--werror", "--format=sarif"},
+       "stsyn: --werror applies only to `stsyn lint`"},
+      {{"p.stsyn", "--format=sarif"},
+       "stsyn: --format= applies only to `stsyn lint`"},
+      {{"serve", "--werror"}, "stsyn: --werror applies only to `stsyn lint`"},
+  };
+  for (const auto& [argv, message] : bad) {
+    cli::Options opt;
+    std::string err;
+    EXPECT_EQ(parse(argv, opt, &err), 2) << message;
+    EXPECT_EQ(err.rfind(message, 0), 0u) << err;
+  }
+  // In their own modes they parse.
+  cli::Options opt;
+  EXPECT_EQ(parse({"p.stsyn", "--output", "F"}, opt), -1);
+  opt = {};
+  EXPECT_EQ(parse({"lint", "p.stsyn", "--werror", "--format=sarif"}, opt), -1);
+  EXPECT_TRUE(opt.werror);
+}
+
 TEST(Driver, DeadlineConvertsToReportNotException) {
   // A 0ns budget expires before the first fixpoint iteration; the driver
   // must absorb the CancelledError and report deadline_exceeded.

@@ -378,7 +378,7 @@ TEST(StatsJson, WriteJsonRoundTripsEveryField) {
         "image_part_products", "var_order"}) {
     EXPECT_EQ(doc->find(removed), nullptr) << removed;
   }
-  EXPECT_EQ(core::kStatsJsonSchemaVersion, 7);
+  EXPECT_EQ(core::kStatsJsonSchemaVersion, 8);
 }
 
 // The human-readable summary is consumed by eyeballs and by the existing
@@ -461,24 +461,38 @@ TEST_F(TracerTest, SeededSccDetectionReportsDroppedWorksets) {
 
   // The passes' detections are seeded; preprocessing's whole-¬I scan is
   // not, and so never drops a work set.
+  const auto events = Tracer::global().snapshot();
+  auto arg = [](const TraceEvent& e, const char* key) {
+    const auto it =
+        std::find_if(e.args.begin(), e.args.end(),
+                     [&](const TraceArg& a) { return a.key == key; });
+    EXPECT_NE(it, e.args.end()) << e.name << " " << key;
+    return it == e.args.end() ? std::string() : it->json;
+  };
   std::size_t seeded = 0;
   std::size_t dropped = 0;
-  for (const auto& e : Tracer::global().snapshot()) {
+  for (const auto& e : events) {
     if (e.name != "nontrivial_sccs") continue;
-    auto arg = [&](const char* key) {
-      const auto it =
-          std::find_if(e.args.begin(), e.args.end(),
-                       [&](const TraceArg& a) { return a.key == key; });
-      EXPECT_NE(it, e.args.end()) << key;
-      return it == e.args.end() ? std::string() : it->json;
-    };
-    const bool isSeeded = arg("seeded") == "true";
-    const std::size_t drops = std::stoul(arg("dropped_worksets"));
+    const bool isSeeded = arg(e, "seeded") == "true";
+    const std::size_t drops = std::stoul(arg(e, "dropped_worksets"));
     seeded += isSeeded ? 1 : 0;
     dropped += drops;
     if (!isSeeded) {
       EXPECT_EQ(drops, 0u);
     }
+    // Each detection trims its domain first, in one child span that
+    // counts the trim's rounds.
+    std::size_t trims = 0;
+    for (const auto& t : events) {
+      if (t.name != "trim_to_core" || t.tid != e.tid ||
+          t.startNs < e.startNs ||
+          t.startNs + t.durNs > e.startNs + e.durNs) {
+        continue;
+      }
+      ++trims;
+      EXPECT_GE(std::stoul(arg(t, "rounds")), 1u);
+    }
+    EXPECT_EQ(trims, 1u);
   }
   EXPECT_GE(seeded, 1u);
   EXPECT_GE(dropped, 1u);

@@ -1,14 +1,16 @@
 // Tests for symbolic SCC detection (lockstep with cycle-core trimming),
 // cross-checked against explicit Tarjan on whole protocols and on random
-// relations.
+// relations, and for the heuristic's seed-pruned removal of cyclic groups.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iostream>
 #include <map>
 
 #include "protocol/builder.hpp"
 #include "casestudies/matching.hpp"
 #include "casestudies/token_ring.hpp"
+#include "core/heuristic.hpp"
 #include "explicitstate/graph.hpp"
 #include "symbolic/decode.hpp"
 #include "symbolic/scc.hpp"
@@ -363,5 +365,151 @@ TEST_P(CycleConeRandom, ConeSccsAgreeWithTarjanOnWholeDomain) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CycleConeRandom,
                          ::testing::Range<std::uint64_t>(0, 24));
+
+/// Two variables, one process that cannot read y: each of P's groups
+/// holds one transition per value of y.
+protocol::Protocol groupedProtocol() {
+  protocol::ProtocolBuilder b("grouped");
+  const protocol::VarId x = b.variable("x", 6);
+  b.variable("y", 3);
+  b.process("P", {x}, {x});
+  b.invariant(protocol::blit(false));  // whole space is "outside I"
+  return b.build();
+}
+
+/// The transitions of a relation, packed, for readable failure messages.
+std::vector<std::pair<std::uint64_t, std::uint64_t>> edgesOf(
+    const Encoding& enc, const Bdd& rel) {
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
+  for (const auto& t : symbolic::decodeRelation(enc, rel)) {
+    out.emplace_back(t.from, t.to);
+  }
+  return out;
+}
+
+/// Tarjan's non-trivial SCCs of a symbolic relation over the whole space.
+std::vector<std::vector<explicitstate::StateId>> tarjanOf(
+    const Encoding& enc, const explicitstate::StateSpace& space,
+    const Bdd& rel) {
+  const auto ts = explicitstate::fromEdges(space, edgesOf(enc, rel));
+  return explicitstate::nontrivialSccs(ts,
+                                       std::vector<bool>(space.size(), true));
+}
+
+TEST(PrunedComponentLoop, RemovesWhatFullEnumerationAndTarjanRemove) {
+  // Random base relations with planted cycles, plus a group increment of
+  // P. Removing the groups with an edge inside a component, with the
+  // seeds shrinking as groups fall, must remove exactly what the
+  // removal over every component of an unseeded search removes, and
+  // what the groups with an edge inside a Tarjan SCC say. Half the bases
+  // also carry a cycle of their own, which takes no group edge.
+  const protocol::Protocol p = groupedProtocol();
+  const Encoding enc(p);
+  const SymbolicProtocol sp(enc);
+  const explicitstate::StateSpace space(p);
+  const std::uint64_t n = space.size();
+  const Bdd all = enc.validCur();
+  auto stateOf = [&](std::uint64_t s) {
+    return enc.stateBdd(symbolic::unpackState(p, s));
+  };
+
+  std::size_t removing = 0;
+  std::size_t surviving = 0;
+  std::size_t pruned = 0;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    util::Rng rng(seed * 31 + 1009);
+    const std::vector<std::size_t> rank = rng.permutation(n);
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> baseEdges;
+    const std::size_t baseCount = 10 + rng.below(20);
+    for (std::size_t i = 0; i < baseCount; ++i) {
+      const std::uint64_t a = rng.below(n);
+      const std::uint64_t b = rng.below(n);
+      if (rank[a] < rank[b]) baseEdges.emplace_back(a, b);
+    }
+    // Group members that descend the ranking, each closed into a cycle by
+    // a planted ascending base edge with probability 3/4.
+    Bdd members = enc.manager().falseBdd();
+    const std::size_t memberCount = 2 + rng.below(5);
+    for (std::size_t i = 0; i < memberCount; ++i) {
+      std::vector<int> from = symbolic::unpackState(p, rng.below(n));
+      std::vector<int> to = from;
+      to[0] = static_cast<int>((from[0] + 1 + rng.below(5)) % 6);
+      const std::uint64_t a = symbolic::packState(p, from);
+      const std::uint64_t b = symbolic::packState(p, to);
+      members |= stateOf(a) & sp.onNext(stateOf(b));
+      if (rank[b] < rank[a] && rng.below(4) != 0) baseEdges.emplace_back(b, a);
+    }
+    const bool baseCycle = rng.below(2) == 0;
+    if (baseCycle) {
+      const std::uint64_t a = rng.below(n);
+      const std::uint64_t b = (a + 1 + rng.below(n - 1)) % n;
+      baseEdges.emplace_back(a, b);
+      baseEdges.emplace_back(b, a);
+    }
+    const Bdd base = relationOf(enc, sp, baseEdges);
+    const Bdd groups = sp.groupExpand(0, members) & sp.candidates(0);
+    const Bdd candidate = base | groups;
+
+    // Oracle 1: every component of an unseeded search, in turn.
+    const symbolic::SccResult full =
+        symbolic::nontrivialSccs(sp, candidate, all);
+    Bdd expected = groups;
+    for (const Bdd& c : full.components) {
+      const Bdd bad = expected & c & sp.onNext(c);
+      if (!bad.isFalse()) expected = expected.minus(sp.groupExpand(0, bad));
+    }
+    // Oracle 2: the groups with an edge inside a Tarjan SCC.
+    const auto tarjan = tarjanOf(enc, space, candidate);
+    Bdd inside = enc.manager().falseBdd();
+    for (const auto& component : tarjan) {
+      Bdd states = enc.manager().falseBdd();
+      for (const auto s : component) states |= stateOf(s);
+      inside |= groups & states & sp.onNext(states);
+    }
+    EXPECT_EQ(edgesOf(enc, expected),
+              edgesOf(enc, groups.minus(sp.groupExpand(0, inside))))
+        << "seed " << seed;
+
+    symbolic::SccResult visited;
+    const Bdd kept =
+        core::removeCyclicGroups(sp, 0, candidate, groups, all, &visited);
+    EXPECT_EQ(edgesOf(enc, kept), edgesOf(enc, expected)) << "seed " << seed;
+    EXPECT_LE(visited.components.size(), full.components.size())
+        << "seed " << seed;
+    if (!baseCycle) {
+      // The passes' shape: an acyclic base, searched in the cycle cone.
+      const Bdd cone = symbolic::cycleCone(sp, candidate, groups, all);
+      const Bdd coneKept =
+          cone.isFalse()
+              ? groups
+              : core::removeCyclicGroups(sp, 0, candidate, groups, cone);
+      EXPECT_EQ(edgesOf(enc, coneKept), edgesOf(enc, expected))
+          << "seed " << seed;
+    }
+
+    // The fused trim behind hasCycle agrees with Tarjan before and after
+    // the removal; over an acyclic base the survivors close no cycle.
+    EXPECT_EQ(symbolic::hasCycle(sp, base, all), baseCycle) << "seed " << seed;
+    EXPECT_EQ(symbolic::hasCycle(sp, candidate, all), !tarjan.empty())
+        << "seed " << seed;
+    const Bdd after = base | kept;
+    EXPECT_EQ(symbolic::hasCycle(sp, after, all),
+              !tarjanOf(enc, space, after).empty())
+        << "seed " << seed;
+    if (!baseCycle) {
+      EXPECT_FALSE(symbolic::hasCycle(sp, after, all)) << "seed " << seed;
+    }
+
+    removing += kept != groups ? 1 : 0;
+    surviving += kept.isFalse() ? 0 : 1;
+    pruned += visited.components.size() < full.components.size() ? 1 : 0;
+  }
+  std::cout << "pruned component loop: " << removing
+            << " of 24 increments lose groups, " << surviving
+            << " keep some, " << pruned << " skip a component\n";
+  EXPECT_GE(removing, 12u);
+  EXPECT_GE(surviving, 6u);
+  EXPECT_GE(pruned, 6u);
+}
 
 }  // namespace
