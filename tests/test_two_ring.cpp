@@ -1,10 +1,15 @@
 // Case-study tests for the Two-Ring Token Ring TR² (paper Section VI-C).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
 #include "casestudies/two_ring.hpp"
 #include "core/heuristic.hpp"
 #include "explicitstate/semantics.hpp"
 #include "explicitstate/simulate.hpp"
+#include "golden_counters.hpp"
 #include "verify/verify.hpp"
 
 namespace {
@@ -12,6 +17,33 @@ namespace {
 using namespace stsyn;
 using symbolic::Encoding;
 using symbolic::SymbolicProtocol;
+
+/// TR²'s counters against tests/golden/two_ring_counters.json, the one
+/// shipped input Golden.CountersArePinned leaves out (a run takes seconds,
+/// and the synthesis test below already makes it).
+void expectTwoRingCountersPinned(const core::SynthesisStats& stats) {
+  const std::filesystem::path path =
+      std::filesystem::path(STSYN_GOLDEN_DIR) / "two_ring_counters.json";
+  const golden::Counters got = golden::countersOf(stats);
+  if (golden::updateRequested()) {
+    ASSERT_TRUE(golden::kPinKernelCounters)
+        << "regenerate " << path << " from an NDEBUG build: the kernel "
+        << "counters differ under assertions";
+    std::ofstream out(path);
+    ASSERT_TRUE(out.good()) << "cannot write " << path;
+    out << golden::renderCounters(got, "") << "\n";
+    return;
+  }
+  std::ifstream in(path);
+  ASSERT_TRUE(in.good()) << "missing golden file " << path
+                         << "; regenerate with STSYN_UPDATE_GOLDEN=1";
+  std::stringstream text;
+  text << in.rdbuf();
+  std::string error;
+  const auto want = obs::parseJson(text.str(), &error);
+  ASSERT_TRUE(want.has_value() && want->isObject()) << path << ": " << error;
+  golden::expectPinned("two_ring strong", got, *want);
+}
 
 TEST(TwoRing, ShapeMatchesThePaper) {
   const protocol::Protocol p = casestudies::twoRing(4);
@@ -90,6 +122,7 @@ TEST(TwoRing, SynthesisYieldsVerifiedStabilizingVersion) {
   EXPECT_TRUE(rep.stronglyStabilizing());
   EXPECT_TRUE(verify::agreesInsideInvariant(sp, sp.protocolRelation(),
                                             r.relation));
+  if (!golden::reorderEnabled()) expectTwoRingCountersPinned(r.stats);
 }
 
 TEST(TwoRing, SmallerDomainAlsoWorks) {
