@@ -14,7 +14,10 @@
 //   * the AndExists relational product, and the fused image kernels
 //     relNext/relPrev that step over interleaved (current, next) pairs and
 //     return their result on the current-state variables directly,
-//   * order-preserving variable renaming (current-state <-> next-state),
+//   * the renamed relational product ∃cube. f ∧ g[perm], which reads g's
+//     variables through the permutation during the recursion, so the
+//     renamed g is never built; order-preserving renaming (current-state
+//     <-> next-state) is its f = TRUE, empty-cube case,
 //   * model counting, model enumeration, evaluation, and per-BDD node
 //     counts (the space metric the paper's Figures 7/9/11 report),
 //   * mark-and-sweep garbage collection driven by RAII external handles,
@@ -42,7 +45,6 @@
 #include <functional>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace stsyn::bdd {
@@ -59,6 +61,10 @@ using NodeIndex = std::uint32_t;
 /// in the order at Manager construction; the level may change under
 /// dynamic reordering while the index never does.
 using Var = std::uint32_t;
+
+/// A (permutation, cube) pair interned by Manager::internRenaming, the
+/// context of Bdd::andExistsRenamed.
+using RenamingId = std::uint32_t;
 
 class Manager;
 
@@ -123,9 +129,19 @@ class Bdd {
   /// variables. Same pairs and precondition as relNext.
   [[nodiscard]] Bdd relPrev(const Bdd& states, const Bdd& within) const;
 
-  /// Renames variables: variable v becomes perm[v]. The permutation must
-  /// preserve the relative ORDER (current levels) of this function's
-  /// support (mk() asserts it in debug builds).
+  /// Renamed relational product: exists cube. (this AND g[perm]) for the
+  /// interned renaming `id` = (perm, cube), where g[perm] is g with each
+  /// variable v replaced by perm[v]. One pass: g's node on v is read at
+  /// the level of perm[v], so g[perm] is never built. The permutation must
+  /// preserve the relative ORDER (current levels) of g's support (mk()
+  /// asserts it in debug builds). Throws std::invalid_argument for
+  /// operands from different managers or an id this manager never issued.
+  [[nodiscard]] Bdd andExistsRenamed(const Bdd& g, RenamingId id) const;
+
+  /// Renames variables: variable v becomes perm[v]. The f = TRUE,
+  /// empty-cube case of andExistsRenamed, with the same precondition;
+  /// interns `perm` on every call, so hot paths intern once and call
+  /// andExistsRenamed instead.
   [[nodiscard]] Bdd rename(std::span<const Var> perm) const;
 
   /// Number of BDD nodes reachable from this function (terminals excluded),
@@ -208,6 +224,16 @@ class Manager {
   /// Conjunction of the positive literals of `vars` (a quantification
   /// cube). Duplicates are tolerated and ignored.
   [[nodiscard]] Bdd cube(std::span<const Var> vars);
+
+  /// Interns the renaming (perm, cube) for Bdd::andExistsRenamed: perm
+  /// maps each variable index to its replacement, and cube is a
+  /// quantification cube of this manager. An equal pair interned before
+  /// gets its old id back. The manager holds the cube for its lifetime.
+  /// Throws std::invalid_argument when perm does not have varCount()
+  /// entries, names a variable out of range, or the cube belongs to
+  /// another manager.
+  [[nodiscard]] RenamingId internRenaming(std::span<const Var> perm,
+                                          const Bdd& cube);
 
   [[nodiscard]] const ManagerStats& stats() const { return stats_; }
 
@@ -369,7 +395,7 @@ class Manager {
     Xor = 1,
     Exists = 3,
     AndExists = 4,
-    Rename = 5,
+    AndExistsRenamed = 5,
     Impl = 7,
     RelNext = 8,
     RelPrev = 9,
@@ -434,8 +460,18 @@ class Manager {
   /// s is the state set, r the relation, c the constraint.
   [[nodiscard]] NodeIndex relProductRec(Op op, NodeIndex s, NodeIndex r,
                                         NodeIndex c);
-  [[nodiscard]] NodeIndex renameRec(NodeIndex f, std::span<const Var> perm,
-                                    std::uint64_t permTag);
+  /// The fixed arguments of one andExistsRenamed call: the interned
+  /// permutation, its id (the cache key's third operand, standing in for
+  /// the permutation and the cube), and the first level below every
+  /// variable the permutation moves, from which on g[perm] is g.
+  struct RenamedCall {
+    const Var* perm;
+    NodeIndex id;
+    Var unmovedFrom;
+  };
+  [[nodiscard]] NodeIndex andExistsRenamedRec(NodeIndex f, NodeIndex g,
+                                              NodeIndex cube,
+                                              const RenamedCall& call);
 
   // --- reordering (reorder.cpp) ---------------------------------------
   void buildReorderRefs();
@@ -496,11 +532,14 @@ class Manager {
   std::vector<Var> pairNext_;
   std::vector<std::uint32_t> reorderRefs_;  // total (ext+parent) refs, scratch
 
-  // Rename permutations are interned per distinct permutation identity;
-  // the content-hash index makes the repeated current<->next renames an
-  // O(1) lookup instead of a linear scan over every permutation seen.
-  std::vector<std::vector<Var>> internedPerms_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> permIndex_;
+  // The interned renamings, indexed by RenamingId. Each cube carries one
+  // external reference for the manager's lifetime.
+  struct Renaming {
+    std::vector<Var> perm;
+    std::vector<Var> moved;  // the variables v with perm[v] != v
+    NodeIndex cube;
+  };
+  std::vector<Renaming> renamings_;
 
   // Cache-counter snapshots at the last adaptive-growth decision point.
   std::size_t cacheLookupsAtGrow_ = 0;

@@ -359,10 +359,10 @@ void Manager::collectGarbage() {
   // Sweep the operation cache instead of clearing it: an entry survives
   // only if everything it references is still live. Slots hold tagged
   // edges, so liveness reads through nodeOf(). (For entries whose operand
-  // slots carry non-node payloads — the rename permutation tag, implies'
-  // boolean result — this is merely conservative: a stale-looking payload
-  // drops a valid entry, never the reverse, because lookups compare all
-  // operands exactly.)
+  // slots carry non-node payloads — a renamed product's renaming id,
+  // implies' boolean result — this is merely conservative: a stale-looking
+  // payload drops a valid entry, never the reverse, because lookups
+  // compare all operands exactly.)
   constexpr NodeIndex kKaEdgeMask =
       (NodeIndex{1} << kCacheOpShift) - 1;
   for (CacheEntry& e : std::span(cache_, cacheSize_)) {
@@ -545,6 +545,35 @@ Bdd Manager::cube(std::span<const Var> vars) {
     acc = mk(*it, kFalse, acc);
   }
   return wrap(acc);
+}
+
+RenamingId Manager::internRenaming(std::span<const Var> perm,
+                                   const Bdd& cube) {
+  assertOwned();
+  if (perm.size() != varCount_) {
+    throw std::invalid_argument("renaming permutation has wrong arity");
+  }
+  if (std::any_of(perm.begin(), perm.end(),
+                  [&](Var v) { return v >= varCount_; })) {
+    throw std::invalid_argument("renaming permutation names no variable");
+  }
+  if (cube.manager() != this) {
+    throw std::invalid_argument("renaming cube from a different manager");
+  }
+  for (std::size_t id = 0; id < renamings_.size(); ++id) {
+    const Renaming& r = renamings_[id];
+    if (r.cube == cube.raw() && std::equal(r.perm.begin(), r.perm.end(),
+                                           perm.begin(), perm.end())) {
+      return static_cast<RenamingId>(id);
+    }
+  }
+  Renaming r{{perm.begin(), perm.end()}, {}, cube.raw()};
+  for (Var v = 0; v < varCount_; ++v) {
+    if (perm[v] != v) r.moved.push_back(v);
+  }
+  ref(r.cube);  // never released: the id stays valid as long as the manager
+  renamings_.push_back(std::move(r));
+  return static_cast<RenamingId>(renamings_.size() - 1);
 }
 
 }  // namespace stsyn::bdd

@@ -1,15 +1,16 @@
 // Recursive BDD operation kernels over complement edges: the unified And
 // kernel (serving And/Or/Nand/Nor through De Morgan), Xor, existential
 // quantification, the AndExists relational product, the fused image
-// kernels relNext/relPrev, the non-materializing implication test, and
-// order-preserving renaming.
+// kernels relNext/relPrev, the renamed relational product (which also
+// serves order-preserving renaming), and the non-materializing
+// implication test.
 //
 // Negation is NOT a kernel any more: with complement edges it is an O(1)
 // bit flip on the handle (operator! below), allocates nothing, and needs
 // no cache. The kernels exploit the structural visibility of negation —
 // f ∧ ¬f = false, f ∨ ¬f = true — as terminal rules, and sign-normalize
-// their operands (Xor, Rename) so all sign combinations of an operand
-// pair share one cache entry.
+// Xor's operands so all sign combinations of an operand pair share one
+// cache entry.
 //
 // All kernels share the direct-mapped operation cache. Kernels never
 // trigger garbage collection (see maybeGc() in manager.cpp); the public
@@ -303,27 +304,55 @@ NodeIndex Manager::relProductRec(Op op, NodeIndex s, NodeIndex r,
 }
 
 // ---------------------------------------------------------------------------
-// Renaming.
+// The renamed relational product ∃cube. f ∧ g[perm]. g's node on variable
+// v splits at the level of perm[v], so g[perm] is never built; the order-
+// preservation precondition keeps g's renamed children below it.
 // ---------------------------------------------------------------------------
 
-NodeIndex Manager::renameRec(NodeIndex f, std::span<const Var> perm,
-                             std::uint64_t permTag) {
-  if (regularEdge(f) == kTrue) return f;
-  // Sign-normalize: renaming commutes with negation.
-  if (isComplement(f))
-    return negateEdge(renameRec(negateEdge(f), perm, permTag));
+NodeIndex Manager::andExistsRenamedRec(NodeIndex f, NodeIndex g,
+                                       NodeIndex cube,
+                                       const RenamedCall& call) {
+  if (f == kFalse || g == kFalse) return kFalse;
+  if (g == kTrue) return existsRec(f, cube);
+  const Node ng = nodes_[nodeOf(g)];  // copies: recursion may reallocate
+  // Below every variable the permutation moves, g[perm] is g: hand off to
+  // the plain product, whose entries every renaming shares.
+  if (indexToLevel_[ng.var] >= call.unmovedFrom) {
+    return andExistsRec(f, g, cube);
+  }
+  const Var gLevel = indexToLevel_[call.perm[ng.var]];
+  const Var fLevel = nodeLevel(f);
+  const Var topLevel = std::min(fLevel, gLevel);
+  while (cube != kTrue && nodeLevel(cube) < topLevel) {
+    cube = nodes_[nodeOf(cube)].high;
+  }
+  // The cube left at this point is the renaming's cube below topLevel, a
+  // function of (f, g) under the current order: the id keys it exactly.
   NodeIndex cached;
-  const auto tag = static_cast<NodeIndex>(permTag);
-  if (cacheLookup(Op::Rename, f, tag, 0, cached)) return cached;
+  if (cacheLookup(Op::AndExistsRenamed, f, g, call.id, cached)) return cached;
 
-  const Node nf = nodes_[nodeOf(f)];  // copy: recursion may reallocate
-  const NodeIndex low = renameRec(nf.low, perm, permTag);
-  const NodeIndex high = renameRec(nf.high, perm, permTag);
-  const Var target = perm[nf.var];
-  // The order-preservation precondition guarantees target is above the
-  // renamed children; mk() asserts it in debug builds.
-  const NodeIndex result = mk(target, low, high);
-  cacheStore(Op::Rename, f, tag, 0, result);
+  const Node nf = nodes_[nodeOf(f)];
+  const NodeIndex f0 = fLevel == topLevel ? throughEdge(f, nf.low) : f;
+  const NodeIndex f1 = fLevel == topLevel ? throughEdge(f, nf.high) : f;
+  const NodeIndex g0 = gLevel == topLevel ? throughEdge(g, ng.low) : g;
+  const NodeIndex g1 = gLevel == topLevel ? throughEdge(g, ng.high) : g;
+
+  const Var top = levelToIndex_[topLevel];
+  NodeIndex result;
+  if (cube != kTrue && nodes_[nodeOf(cube)].var == top) {
+    const NodeIndex cubeRest = nodes_[nodeOf(cube)].high;
+    const NodeIndex low = andExistsRenamedRec(f0, g0, cubeRest, call);
+    if (low == kTrue) {
+      result = kTrue;  // OR with anything is TRUE: short-circuit
+    } else {
+      result = orRec(low, andExistsRenamedRec(f1, g1, cubeRest, call));
+    }
+  } else {
+    const NodeIndex low = andExistsRenamedRec(f0, g0, cube, call);
+    const NodeIndex high = andExistsRenamedRec(f1, g1, cube, call);
+    result = mk(top, low, high);
+  }
+  cacheStore(Op::AndExistsRenamed, f, g, call.id, result);
   return result;
 }
 
@@ -399,37 +428,27 @@ Bdd Bdd::relPrev(const Bdd& states, const Bdd& within) const {
                                   within.index_));
 }
 
+Bdd Bdd::andExistsRenamed(const Bdd& g, RenamingId id) const {
+  Manager* m = commonManager(*this, g);
+  if (id >= m->renamings_.size()) {
+    throw std::invalid_argument("andExistsRenamed: unknown renaming id");
+  }
+  m->maybeGc();
+  // Levels move only under reordering, which runs at the boundary above,
+  // so the hand-off level is fixed for the whole recursion.
+  const Manager::Renaming& r = m->renamings_[id];
+  Var unmovedFrom = 0;
+  for (const Var v : r.moved) {
+    unmovedFrom = std::max(unmovedFrom, m->levelOf(v) + 1);
+  }
+  return m->wrap(m->andExistsRenamedRec(index_, g.index_, r.cube,
+                                        {r.perm.data(), id, unmovedFrom}));
+}
+
 Bdd Bdd::rename(std::span<const Var> perm) const {
   if (!valid()) throw std::invalid_argument("rename of a null BDD");
-  if (perm.size() != mgr_->varCount()) {
-    throw std::invalid_argument("rename permutation has wrong arity");
-  }
-  // Intern the permutation so the cache can distinguish different
-  // renamings. A content-hash index keyed on the permutation makes the
-  // repeated current<->next renames an O(1) map hit instead of a linear
-  // std::equal scan over every permutation ever interned; the bucket's
-  // std::equal pass handles hash collisions exactly.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const Var v : perm) {
-    h ^= v;
-    h *= 0x100000001b3ULL;
-  }
-  std::uint64_t tag = ~std::uint64_t{0};
-  std::vector<std::uint32_t>& bucket = mgr_->permIndex_[h];
-  for (const std::uint32_t id : bucket) {
-    const auto& p = mgr_->internedPerms_[id];
-    if (std::equal(p.begin(), p.end(), perm.begin(), perm.end())) {
-      tag = id;
-      break;
-    }
-  }
-  if (tag == ~std::uint64_t{0}) {
-    tag = mgr_->internedPerms_.size();
-    mgr_->internedPerms_.emplace_back(perm.begin(), perm.end());
-    bucket.push_back(static_cast<std::uint32_t>(tag));
-  }
-  mgr_->maybeGc();
-  return mgr_->wrap(mgr_->renameRec(index_, perm, tag));
+  const Bdd all = mgr_->trueBdd();
+  return all.andExistsRenamed(*this, mgr_->internRenaming(perm, all));
 }
 
 }  // namespace stsyn::bdd

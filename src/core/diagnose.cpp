@@ -67,7 +67,7 @@ Diagnosis diagnose(const SymbolicProtocol& sp, const StrongResult& result,
         while (!pool.isFalse()) {
           const auto [s0, s1] = sp.pickTransition(pool & sB);
           const Bdd member =
-              sp.enc().stateBdd(s0) & sp.onNext(sp.enc().stateBdd(s1));
+              sp.enc().andNext(sp.enc().stateBdd(s0), sp.enc().stateBdd(s1));
           const Bdd group = sp.groupExpand(j, member);
           pool = pool.minus(group);
           const Bdd combined = result.relation | group;

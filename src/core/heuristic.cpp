@@ -69,7 +69,7 @@ class Synthesizer {
       proc.push_back(sp_.processRelation(j));
     }
     for (const Bdd& c : sccs.components) {
-      const Bdd inC = c & sp_.onNext(c);
+      const Bdd inC = sp_.enc().andNext(c, c);
       for (std::size_t j = 0; j < sp_.processCount(); ++j) {
         const Bdd part = proc[j] & inC;
         if (part.isFalse()) continue;
@@ -102,8 +102,8 @@ class Synthesizer {
         const Bdd useful = pool & deadlocks_;
         if (useful.isFalse()) break;
         const auto [s0, s1] = sp_.pickTransition(useful);
-        const Bdd member = sp_.enc().stateBdd(s0) &
-                           sp_.onNext(sp_.enc().stateBdd(s1));
+        const Bdd member =
+            sp_.enc().andNext(sp_.enc().stateBdd(s0), sp_.enc().stateBdd(s1));
         const Bdd group = sp_.groupExpand(j, member) & cand;
         pool = pool.minus(group);
         bool cyclic;
@@ -150,13 +150,20 @@ class Synthesizer {
   /// inclusion closes a cycle outside I (C3, Identify_Resolve_Cycles).
   void addRecovery(std::size_t j, const Bdd& from, const Bdd& to,
                    const Bdd& ruledOutTargets) {
-    Bdd groups = sp_.groupsBetween(j, from, to);
+    Bdd groups;
+    {
+      obs::Span span("groups_between", "synthesis");
+      groups = sp_.groupsBetween(j, from, to);
+    }
     if (groups.isFalse()) return;
 
     // Drop groups with a member in ruledOutTrans = { (s0,s1) : s0 in I or
-    // s1 ruled out }, one fused product per disjunct.
-    groups = groups.minus(sp_.groupExpand(j, groups, inv_) |
-                          sp_.groupExpandNext(j, groups, ruledOutTargets));
+    // s1 ruled out } (C1 and C4), one fused product per disjunct.
+    {
+      obs::Span span("group_exclusion", "synthesis");
+      groups = groups.minus(sp_.groupExpand(j, groups, inv_) |
+                            sp_.groupExpandNext(j, groups, ruledOutTargets));
+    }
     if (groups.isFalse()) return;
 
     // Identify_Resolve_Cycles: SCCs of (pss ∪ groups)|¬I; every group with
@@ -236,7 +243,7 @@ Bdd removeCyclicGroups(const SymbolicProtocol& sp, std::size_t j,
   Bdd seeds = sp.sources(sp.restrictRel(groups, domain));
   symbolic::SccResult sccs = symbolic::nontrivialSccs(
       sp, candidate, domain, &seeds, [&](const Bdd& c) {
-        const Bdd bad = groups & c & sp.onNext(c);
+        const Bdd bad = sp.enc().andNext(groups & c, c);
         if (!bad.isFalse()) {
           groups = groups.minus(sp.groupExpand(j, bad));
           seeds = sp.sources(sp.restrictRel(groups, domain));

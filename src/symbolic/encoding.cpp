@@ -45,7 +45,7 @@ Encoding::Encoding(protocol::Protocol proto) : proto_(std::move(proto)) {
   mgr_ = std::make_unique<bdd::Manager>(level);
 
   // Each interleaved (cur, next) pair sifts as one atomic block: the pair
-  // stays adjacent with cur on top, so the cur<->next renamings (which
+  // stays adjacent with cur on top, so the cur->next renamings (which
   // only ever move support within pairs) remain monotone on levels no
   // matter how the manager reorders.
   {
@@ -67,10 +67,13 @@ Encoding::Encoding(protocol::Protocol proto) : proto_(std::move(proto)) {
   // The cur->next renaming moves each current bit to its pair's next bit.
   // It is monotone on any function over current levels only, which is the
   // only way we ever use it.
-  permCurToNext_.resize(level);
-  for (const auto& [c, x] : bitPairs_) {
-    permCurToNext_[c] = x;
-    permCurToNext_[x] = x;
+  {
+    std::vector<Var> perm(level);
+    for (const auto& [c, x] : bitPairs_) {
+      perm[c] = x;
+      perm[x] = x;
+    }
+    curToNext_ = mgr_->internRenaming(perm, mgr_->trueBdd());
   }
 
   // Value indicators.
@@ -133,7 +136,13 @@ Bdd Encoding::nextValue(VarId v, int value) const {
   return nextValue_[v][value];
 }
 
-Bdd Encoding::curToNext(const Bdd& f) const { return f.rename(permCurToNext_); }
+Bdd Encoding::andNext(const Bdd& t, const Bdd& s) const {
+  return t.andExistsRenamed(s, curToNext_);
+}
+
+Bdd Encoding::curToNext(const Bdd& f) const {
+  return andNext(mgr_->trueBdd(), f);
+}
 
 Bdd Encoding::stateBdd(std::span<const int> state) const {
   assert(state.size() == proto_.vars.size());

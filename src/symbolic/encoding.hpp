@@ -47,7 +47,7 @@ class Encoding {
   /// The interleaved (current, next) bit pairs, one per encoded bit, in
   /// initial level order. Registered with the manager as atomic reorder groups:
   /// dynamic reordering moves a pair as one block, so the cur->next
-  /// renaming stays order-preserving under any reorder, and the same
+  /// renamings stay order-preserving under any reorder, and the same
   /// registration gives Bdd::relNext/relPrev the pairs they step over.
   [[nodiscard]] const std::vector<std::pair<bdd::Var, bdd::Var>>& bitPairs()
       const {
@@ -79,9 +79,14 @@ class Encoding {
   /// The diagonal: every variable unchanged (self-loop transitions).
   [[nodiscard]] bdd::Bdd diagonal() const { return diagonal_; }
 
-  /// Renames a predicate over current-state levels to next-state levels.
-  /// (Images need no renaming: Bdd::relNext builds them on the current
-  /// levels.)
+  /// t ∧ s' for a predicate s over current-state levels: s is read on the
+  /// next-state levels inside the product (Bdd::andExistsRenamed), so s'
+  /// is never built. (Images need no renaming: Bdd::relNext builds them on
+  /// the current levels.)
+  [[nodiscard]] bdd::Bdd andNext(const bdd::Bdd& t, const bdd::Bdd& s) const;
+
+  /// Renames a predicate over current-state levels to next-state levels:
+  /// andNext(true, f).
   [[nodiscard]] bdd::Bdd curToNext(const bdd::Bdd& f) const;
 
   /// The BDD of a single concrete state (current-state copy).
@@ -116,7 +121,7 @@ class Encoding {
   std::vector<bdd::Var> allCur_;
   std::vector<bdd::Var> allNext_;
   std::vector<bdd::Var> allLevels_;
-  std::vector<bdd::Var> permCurToNext_;
+  bdd::RenamingId curToNext_ = 0;  // every current bit -> its next bit
 
   // Cached indicators: indexed [var][value].
   mutable std::vector<std::vector<bdd::Bdd>> curValue_;

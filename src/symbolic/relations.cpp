@@ -58,6 +58,7 @@ SymbolicProtocol::SymbolicProtocol(const Encoding& enc) : enc_(enc) {
   candidates_.reserve(p.processes.size());
   unreadCube_.reserve(p.processes.size());
   unreadUnchanged_.reserve(p.processes.size());
+  writtenToNext_.reserve(p.processes.size());
 
   for (std::size_t j = 0; j < p.processes.size(); ++j) {
     Bdd rel = m.falseBdd();
@@ -87,6 +88,15 @@ SymbolicProtocol::SymbolicProtocol(const Encoding& enc) : enc_(enc) {
     std::sort(levels.begin(), levels.end());
     unreadCube_.push_back(m.cube(levels));
     unreadUnchanged_.push_back(unreadEq);
+
+    std::vector<Var> perm(m.varCount());
+    std::iota(perm.begin(), perm.end(), Var{0});
+    for (const VarId v : p.processes[j].writes) {
+      const std::vector<Var>& cur = enc.curLevels(v);
+      const std::vector<Var>& next = enc.nextLevels(v);
+      for (std::size_t k = 0; k < cur.size(); ++k) perm[cur[k]] = next[k];
+    }
+    writtenToNext_.push_back(m.internRenaming(perm, unreadCube_[j]));
   }
 }
 
@@ -110,7 +120,7 @@ Bdd SymbolicProtocol::groupExpandNext(std::size_t j, const Bdd& t,
   // t ∧ s' = t ∧ s[W_j -> W_j'].
   assert(t.implies(frame_[j]) &&
          "groupExpandNext: t violates the process frame");
-  return closeGroups(j, t.andExists(writtenToNext(j, s), unreadCube_[j]));
+  return closeGroups(j, t.andExistsRenamed(s, writtenToNext_[j]));
 }
 
 Bdd SymbolicProtocol::groupsBetween(std::size_t j, const Bdd& from,
@@ -123,8 +133,7 @@ Bdd SymbolicProtocol::groupsBetween(std::size_t j, const Bdd& from,
   // full unreadable cube quantifies exactly the current ones.
   assert(from.implies(enc_.validCur()) && to.implies(enc_.validCur()) &&
          "groupsBetween: from/to must lie inside validCur");
-  return from.andExists(writtenToNext(j, to), unreadCube_[j]) &
-         candidates_[j];
+  return from.andExistsRenamed(to, writtenToNext_[j]) & candidates_[j];
 }
 
 Bdd SymbolicProtocol::hideUnreadables(std::size_t j, const Bdd& s) const {
@@ -132,18 +141,6 @@ Bdd SymbolicProtocol::hideUnreadables(std::size_t j, const Bdd& s) const {
   assert(s.implies(enc_.validCur()) &&
          "hideUnreadables: s must lie inside validCur");
   return s.exists(unreadCube_[j]);
-}
-
-Bdd SymbolicProtocol::writtenToNext(std::size_t j, const Bdd& s) const {
-  const protocol::Protocol& p = enc_.proto();
-  std::vector<Var> perm(manager().varCount());
-  std::iota(perm.begin(), perm.end(), Var{0});
-  for (const VarId v : p.processes[j].writes) {
-    const std::vector<Var>& cur = enc_.curLevels(v);
-    const std::vector<Var>& next = enc_.nextLevels(v);
-    for (std::size_t k = 0; k < cur.size(); ++k) perm[cur[k]] = next[k];
-  }
-  return s.rename(perm);
 }
 
 Bdd SymbolicProtocol::closeGroups(std::size_t j, const Bdd& t) const {
@@ -178,7 +175,7 @@ Bdd SymbolicProtocol::restrictRel(const Bdd& t, const Bdd& x) const {
   // codes, and without the fence transitions touching them would survive
   // the restriction.
   const Bdd inside = x & enc_.validCur();
-  return t & inside & enc_.curToNext(inside);
+  return enc_.andNext(t & inside, inside);
 }
 
 Bdd SymbolicProtocol::sources(const Bdd& t) const {

@@ -53,10 +53,12 @@ class SymbolicProtocol {
 
   // Fused group selection. Each primitive below returns exactly the BDD its
   // spelled-out form would, but in one relational product: the conjunction
-  // it expands is never materialized. Written variables W_j are renamed
-  // through a partial rename (current -> next bits of W_j only), which is
-  // monotone under any reorder because each (cur, next) bit pair sifts as
-  // one block.
+  // it expands is never materialized. The second operand's written
+  // variables W_j are read on their next-state bits inside the product
+  // (Bdd::andExistsRenamed over the renaming interned per process at
+  // construction), so no renamed copy of it is built either. The renaming
+  // is monotone under any reorder because each (cur, next) bit pair sifts
+  // as one block.
 
   /// E_j(t ∧ s) for a current-state predicate s. Same precondition on t as
   /// groupExpand.
@@ -71,7 +73,8 @@ class SymbolicProtocol {
 
   /// Every group of process j with a member in from x to:
   /// E_j(A_j ∧ from ∧ to') ∧ A_j, computed as
-  /// (∃ unreadables. from ∧ to[W_j -> W_j']) ∧ A_j.
+  /// (∃ unreadables. from ∧ to[W_j -> W_j']) ∧ A_j, the first factor in one
+  /// renamed product.
   /// Precondition: from and to lie inside validCur (asserted in debug
   /// builds). Projecting out unreadables of an unfenced set would let
   /// invalid codes of one state set pair with valid codes of the other.
@@ -131,7 +134,7 @@ class SymbolicProtocol {
   [[nodiscard]] bdd::Bdd deadlocks(const bdd::Bdd& t) const;
 
   /// Lifts a current-state predicate to the same predicate on next-state
-  /// levels (for building (s0, s1) constraints on targets).
+  /// levels. Products t ∧ s' take Encoding::andNext, which never builds s'.
   [[nodiscard]] bdd::Bdd onNext(const bdd::Bdd& s) const {
     return enc_.curToNext(s);
   }
@@ -156,11 +159,6 @@ class SymbolicProtocol {
   std::vector<bdd::Bdd> frame_;
   std::vector<bdd::Bdd> candidates_;
 
-  /// rename_{cur W_j -> next W_j}(s), with the permutation built per call:
-  /// a long-lived per-process vector here measurably raised serve's peak
-  /// RSS through heap reuse (docs/serve.md).
-  [[nodiscard]] bdd::Bdd writtenToNext(std::size_t j, const bdd::Bdd& s) const;
-
   /// The closure E_j applies after quantifying: unreadables unchanged and
   /// both copies valid.
   [[nodiscard]] bdd::Bdd closeGroups(std::size_t j, const bdd::Bdd& t) const;
@@ -169,6 +167,9 @@ class SymbolicProtocol {
   // unreadable variables, then re-impose "unreadables unchanged".
   std::vector<bdd::Bdd> unreadCube_;
   std::vector<bdd::Bdd> unreadUnchanged_;
+  // Per-process renaming (cur W_j -> next W_j, unreadCube_[j]) of the
+  // fused group selection.
+  std::vector<bdd::RenamingId> writtenToNext_;
 
   mutable std::size_t imageOps_ = 0;
   mutable std::size_t preimageOps_ = 0;

@@ -67,7 +67,7 @@ Lockstep lockstep(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& v,
 /// cycle from a trivial single-state component.)
 bool hasInternalEdge(const SymbolicProtocol& sp, const Bdd& rel,
                      const Bdd& scc) {
-  return !(rel & scc & sp.onNext(scc)).isFalse();
+  return !sp.enc().andNext(rel & scc, scc).isFalse();
 }
 
 /// Trims `domain` to its cycle core: repeatedly drop states with no

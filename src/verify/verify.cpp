@@ -9,7 +9,7 @@ using symbolic::SymbolicProtocol;
 
 bool isClosed(const SymbolicProtocol& sp, const Bdd& rel, const Bdd& x) {
   // A transition violating closure starts in X and ends outside X.
-  const Bdd escape = rel & x & sp.onNext(sp.enc().validCur() & !x);
+  const Bdd escape = sp.enc().andNext(rel & x, sp.enc().validCur() & !x);
   return escape.isFalse();
 }
 
@@ -80,8 +80,9 @@ std::vector<Step> extractCycle(const SymbolicProtocol& sp, const Bdd& rel,
         cycle.push_back(Step{cur, SIZE_MAX});
         // Attribute each step to a process.
         for (std::size_t k = 0; k + 1 < cycle.size(); ++k) {
-          const Bdd edge = sp.enc().stateBdd(cycle[k].state) &
-                           sp.onNext(sp.enc().stateBdd(cycle[k + 1].state));
+          const Bdd edge =
+              sp.enc().andNext(sp.enc().stateBdd(cycle[k].state),
+                               sp.enc().stateBdd(cycle[k + 1].state));
           for (std::size_t j = 0; j < perProcess.size(); ++j) {
             if (!(perProcess[j] & edge).isFalse()) {
               cycle[k].process = j;

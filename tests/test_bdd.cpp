@@ -1,5 +1,5 @@
 // Unit tests for the BDD substrate: construction, boolean algebra,
-// quantification, relational products, renaming, analyses, garbage
+// quantification, relational products, the renamed product, analyses, garbage
 // collection, and the operation cache's growth.
 #include <gtest/gtest.h>
 
@@ -318,6 +318,183 @@ TEST(BddRename, WrongArityRejected) {
   Manager m(4);
   std::vector<Var> tooShort{0, 1};
   EXPECT_THROW((void)m.var(0).rename(tooShort), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// The renamed product ∃cube. f ∧ g[perm] against truth tables built with
+// eval alone: rename is this kernel's special case, so it cannot be the
+// oracle.
+// ---------------------------------------------------------------------------
+
+constexpr Var kPairVars = 2 * kPairs;
+/// A function's value on every assignment; bit v of the index is variable v.
+using TruthTable = std::vector<char>;
+
+TruthTable tableOf(const Bdd& f) {
+  TruthTable t(std::size_t{1} << kPairVars);
+  std::vector<char> assignment(kPairVars);
+  for (std::size_t x = 0; x < t.size(); ++x) {
+    for (Var v = 0; v < kPairVars; ++v) assignment[v] = (x >> v) & 1u;
+    t[x] = f.eval(assignment) ? 1 : 0;
+  }
+  return t;
+}
+
+/// ∃cube. f ∧ g[perm]: at assignment x, g[perm] reads each variable v of g
+/// at x's bit perm[v]; then every cube variable is OR-ed out.
+TruthTable renamedProductTable(const TruthTable& f, const TruthTable& g,
+                               const std::vector<Var>& perm,
+                               const std::vector<Var>& cube) {
+  TruthTable out(f.size());
+  for (std::size_t x = 0; x < out.size(); ++x) {
+    std::size_t y = 0;
+    for (Var v = 0; v < kPairVars; ++v) y |= ((x >> perm[v]) & 1u) << v;
+    out[x] = static_cast<char>(f[x] != 0 && g[y] != 0);
+  }
+  for (const Var v : cube) {
+    const std::size_t bit = std::size_t{1} << v;
+    for (std::size_t x = 0; x < out.size(); ++x) {
+      if ((x & bit) == 0) out[x] = out[x | bit] = out[x] | out[x | bit];
+    }
+  }
+  return out;
+}
+
+/// A random function over `vars` only.
+Bdd randomFunctionOver(Manager& m, stsyn::util::Rng& rng,
+                       const std::vector<Var>& vars) {
+  Bdd f = rng.flip() ? m.trueBdd() : m.falseBdd();
+  for (int i = 0; i < 8; ++i) {
+    Bdd lit = m.var(vars[rng.below(vars.size())]);
+    if (rng.flip()) lit = !lit;
+    switch (rng.below(3)) {
+      case 0: f = f & lit; break;
+      case 1: f = f | lit; break;
+      default: f = f ^ lit; break;
+    }
+  }
+  return f;
+}
+
+/// For the identity, a partial cur->next renaming over a random subset of
+/// the pairs, and the full one: random f over all pairs and g over the
+/// variables the renaming keeps order-preserving (a moved pair contributes
+/// its current bit only); for the empty, a random and the all-current
+/// cube: every sign and terminal combination of f and g.
+void expectRenamedProductMatchesTables(Manager& m, std::uint64_t seed) {
+  stsyn::util::Rng rng(seed);
+  for (int trial = 0; trial < 12; ++trial) {
+    for (const int kind : {0, 1, 2}) {  // identity, partial, full
+      std::vector<Var> perm = levels(kPairVars);
+      std::vector<Var> gVars;
+      for (Var i = 0; i < kPairs; ++i) {
+        const bool moved = kind == 2 || (kind == 1 && rng.flip());
+        if (moved) perm[2 * i] = 2 * i + 1;
+        gVars.push_back(2 * i);
+        if (!moved) gVars.push_back(2 * i + 1);
+      }
+      std::vector<Var> noCube;
+      std::vector<Var> randomCube;
+      std::vector<Var> allCurrent;
+      for (Var v = 0; v < kPairVars; ++v) {
+        if (rng.below(3) == 0) randomCube.push_back(v);
+        if (v % 2 == 0) allCurrent.push_back(v);
+      }
+      const Bdd f = randomPairFunction(m, rng, false);
+      const Bdd g = randomFunctionOver(m, rng, gVars);
+      const std::array<Bdd, 4> fs{f, !f, m.trueBdd(), m.falseBdd()};
+      const std::array<Bdd, 4> gs{g, !g, m.trueBdd(), m.falseBdd()};
+      EXPECT_EQ(tableOf(g.rename(perm)),
+                renamedProductTable(tableOf(m.trueBdd()), tableOf(g), perm,
+                                    {}))
+          << "trial " << trial << " kind " << kind;
+      for (const Bdd& fi : fs) {
+        for (const Bdd& gi : gs) {
+          // One (f, g) under three renamings in a row: a cache keyed
+          // without the renaming would answer the later ones wrongly.
+          for (const std::vector<Var>* cube :
+               {&allCurrent, &randomCube, &noCube}) {
+            const auto id = m.internRenaming(perm, m.cube(*cube));
+            EXPECT_EQ(tableOf(fi.andExistsRenamed(gi, id)),
+                      renamedProductTable(tableOf(fi), tableOf(gi), perm,
+                                          *cube))
+                << "trial " << trial << " kind " << kind << " cube size "
+                << cube->size();
+          }
+        }
+      }
+    }
+  }
+  m.checkInvariants();
+}
+
+TEST(BddRenamedProduct, MatchesTruthTablesUnderTheDeclaredLayout) {
+  Manager m(kPairVars);
+  registerPairs(m);
+  expectRenamedProductMatchesTables(m, 21);
+}
+
+TEST(BddRenamedProduct, MatchesTruthTablesWithTheNextBitOnTop) {
+  Manager m(kPairVars);
+  registerPairs(m);
+  std::vector<Var> order;
+  for (Var i = 0; i < kPairs; ++i) {
+    order.push_back(2 * i + 1);
+    order.push_back(2 * i);
+  }
+  m.setLevelOrder(order);
+  expectRenamedProductMatchesTables(m, 22);
+}
+
+TEST(BddRenamedProduct, MatchesTruthTablesAfterAForcedSift) {
+  Manager m(kPairVars);
+  registerPairs(m);
+  const std::vector<Var> dealt = dealtPairOrder(false);
+  m.setLevelOrder(dealt);
+  // A renaming interned before the sift: its cube is rewritten in place
+  // and its hand-off level is read at call time.
+  std::vector<Var> toNext = levels(kPairVars);
+  for (Var i = 0; i < kPairs; ++i) toNext[2 * i] = 2 * i + 1;
+  const std::vector<Var> lowCurrent{0, 2};
+  const auto early = m.internRenaming(toNext, m.cube(lowCurrent));
+  Bdd keep = m.falseBdd();
+  for (Var i = 0; i + 1 < kPairs; ++i) {
+    keep |= m.var(2 * i) & m.var(2 * (i + 1) + 1);
+  }
+  m.reorderNow();
+  ASSERT_NE(m.currentOrder(), dealt);
+  const Bdd g = m.var(0) ^ (m.var(4) & !m.var(8));
+  EXPECT_EQ(tableOf(keep.andExistsRenamed(g, early)),
+            renamedProductTable(tableOf(keep), tableOf(g), toNext,
+                                lowCurrent));
+  expectRenamedProductMatchesTables(m, 23);
+}
+
+TEST(BddRenamedProduct, InterningReturnsTheSameIdForAnEqualPair) {
+  Manager m(4);
+  const std::vector<Var> perm{1, 1, 3, 3};
+  const auto a = m.internRenaming(perm, m.var(0) & m.var(2));
+  EXPECT_EQ(m.internRenaming(perm, m.var(2) & m.var(0)), a);
+  EXPECT_NE(m.internRenaming(perm, m.var(0)), a);
+  EXPECT_NE(m.internRenaming(levels(4), m.var(0) & m.var(2)), a);
+}
+
+TEST(BddRenamedProduct, RejectsForeignOperandsAndBadRenamings) {
+  Manager m(4);
+  Manager other(4);
+  const std::vector<Var> tooShort{0, 1};
+  EXPECT_THROW((void)m.internRenaming(tooShort, m.trueBdd()),
+               std::invalid_argument);
+  const std::vector<Var> outOfRange{0, 1, 2, 4};
+  EXPECT_THROW((void)m.internRenaming(outOfRange, m.trueBdd()),
+               std::invalid_argument);
+  EXPECT_THROW((void)m.internRenaming(levels(4), other.trueBdd()),
+               std::invalid_argument);
+  const auto id = m.internRenaming(levels(4), m.trueBdd());
+  EXPECT_THROW((void)m.var(0).andExistsRenamed(other.var(1), id),
+               std::invalid_argument);
+  EXPECT_THROW((void)m.var(0).andExistsRenamed(m.var(1), id + 1),
+               std::invalid_argument);
 }
 
 TEST(BddAnalysis, SatCountOverExplicitLevels) {

@@ -425,6 +425,11 @@ TEST_F(TracerTest, SynthesisEmitsPhaseSpans) {
   EXPECT_EQ(count("ranking"), 1u);
   EXPECT_GE(count("scc_detect"), 1u);
   EXPECT_GE(count("pass1"), 1u);
+  // Add_Recovery's group selection and its C1/C4 exclusion: one selection
+  // per process and rank tried, an exclusion only where it found groups.
+  EXPECT_GE(count("groups_between"), 1u);
+  EXPECT_GE(count("group_exclusion"), 1u);
+  EXPECT_LE(count("group_exclusion"), count("groups_between"));
   // Every SCC detection reports the size of the domain it searched.
   for (const auto& e : events) {
     if (e.name != "scc_detect") continue;
