@@ -240,15 +240,16 @@ class Synthesizer {
 Bdd removeCyclicGroups(const SymbolicProtocol& sp, std::size_t j,
                        const Bdd& candidate, Bdd groups, const Bdd& domain,
                        symbolic::SccResult* detection) {
-  Bdd seeds = sp.sources(sp.restrictRel(groups, domain));
+  Bdd live = sp.restrictRel(groups, domain);
   symbolic::SccResult sccs = symbolic::nontrivialSccs(
-      sp, candidate, domain, &seeds, [&](const Bdd& c) {
-        const Bdd bad = sp.enc().andNext(groups & c, c);
+      sp, candidate, domain, &live, [&](const Bdd& c) {
+        const Bdd bad = sp.enc().andNext(live & c, c);
         if (!bad.isFalse()) {
-          groups = groups.minus(sp.groupExpand(j, bad));
-          seeds = sp.sources(sp.restrictRel(groups, domain));
+          const Bdd removed = sp.groupExpand(j, bad);
+          groups = groups.minus(removed);
+          live = live.minus(removed);
         }
-        return seeds;
+        return live;
       });
   if (detection != nullptr) *detection = std::move(sccs);
   return groups;

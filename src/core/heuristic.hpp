@@ -92,10 +92,10 @@ struct StrongResult {
 /// Identify_Resolve_Cycles for one batch (C3): returns `groups`, a union of
 /// whole groups of process j, without every group that has a transition
 /// inside a non-trivial SCC of `candidate`|`domain`, where candidate =
-/// base ∪ groups. Detection is seeded with the sources of the group edges
-/// inside `domain`, and each component found discards its groups at once
-/// and shrinks the seeds to the sources of the surviving ones: a component
-/// with no surviving group edge would discard nothing more, so it is never
+/// base ∪ groups. Detection is seeded with the group edges inside
+/// `domain`, and each component found discards its groups at once and
+/// shrinks the live edges to the surviving groups' ones: a component with
+/// no surviving group edge would discard nothing more, so it is never
 /// searched. The result equals the removal over every component, in any
 /// order, since the candidate relation and its SCCs stay fixed.
 /// `detection` receives the visited components and the symbolic steps.

@@ -455,17 +455,25 @@ TEST_F(TracerTest, SynthesisEmitsPhaseSpans) {
   EXPECT_GE(doc->find("traceEvents")->items.size(), events.size());
 }
 
-TEST_F(TracerTest, SeededSccDetectionReportsDroppedWorksets) {
-  // matching(5) reaches full SCC detection in the passes, where seeding
-  // drops work sets unsearched.
+/// One traced `nontrivial_sccs` span: whether it was seeded, the work
+/// sets it dropped, and its `trim_to_core` children.
+struct SccDetectionSpan {
+  bool seeded = false;
+  std::size_t dropped = 0;
+  std::size_t trims = 0;
+};
+
+/// Synthesizes matching(k) under the tracer and reads back every SCC
+/// detection span of the run.
+std::vector<SccDetectionSpan> tracedMatchingDetections(int k) {
+  Tracer::global().clear();
   Tracer::global().enable();
-  const protocol::Protocol p = casestudies::matching(5);
+  const protocol::Protocol p = casestudies::matching(k);
   symbolic::Encoding enc(p);
   symbolic::SymbolicProtocol sp(enc);
-  ASSERT_TRUE(core::addStrongConvergence(sp).success);
+  EXPECT_TRUE(core::addStrongConvergence(sp).success);
+  Tracer::global().disable();
 
-  // The passes' detections are seeded; preprocessing's whole-¬I scan is
-  // not, and so never drops a work set.
   const auto events = Tracer::global().snapshot();
   auto arg = [](const TraceEvent& e, const char* key) {
     const auto it =
@@ -474,33 +482,60 @@ TEST_F(TracerTest, SeededSccDetectionReportsDroppedWorksets) {
     EXPECT_NE(it, e.args.end()) << e.name << " " << key;
     return it == e.args.end() ? std::string() : it->json;
   };
-  std::size_t seeded = 0;
-  std::size_t dropped = 0;
+  std::vector<SccDetectionSpan> out;
   for (const auto& e : events) {
     if (e.name != "nontrivial_sccs") continue;
-    const bool isSeeded = arg(e, "seeded") == "true";
-    const std::size_t drops = std::stoul(arg(e, "dropped_worksets"));
-    seeded += isSeeded ? 1 : 0;
-    dropped += drops;
-    if (!isSeeded) {
-      EXPECT_EQ(drops, 0u);
-    }
-    // Each detection trims its domain first, in one child span that
-    // counts the trim's rounds.
-    std::size_t trims = 0;
+    SccDetectionSpan d;
+    d.seeded = arg(e, "seeded") == "true";
+    d.dropped = std::stoul(arg(e, "dropped_worksets"));
     for (const auto& t : events) {
       if (t.name != "trim_to_core" || t.tid != e.tid ||
           t.startNs < e.startNs ||
           t.startNs + t.durNs > e.startNs + e.durNs) {
         continue;
       }
-      ++trims;
+      ++d.trims;
       EXPECT_GE(std::stoul(arg(t, "rounds")), 1u);
     }
-    EXPECT_EQ(trims, 1u);
+    out.push_back(d);
+  }
+  return out;
+}
+
+TEST_F(TracerTest, SeededSccDetectionReportsDroppedWorksets) {
+  // matching(5) reaches full SCC detection in the passes. Their detections
+  // are seeded with the increment's live edges and drop work sets with no
+  // live edge inside; preprocessing's whole-¬I scan is not seeded, trims
+  // its domain once up front and never drops a work set. A seeded search
+  // trims only once a pivot has proved trivial, which no pivot of
+  // matching(5) does.
+  std::size_t seeded = 0;
+  std::size_t dropped = 0;
+  for (const SccDetectionSpan& d : tracedMatchingDetections(5)) {
+    seeded += d.seeded ? 1 : 0;
+    dropped += d.dropped;
+    if (d.seeded) {
+      EXPECT_EQ(d.trims, 0u);
+    } else {
+      EXPECT_EQ(d.dropped, 0u);
+      EXPECT_EQ(d.trims, 1u);
+    }
   }
   EXPECT_GE(seeded, 1u);
   EXPECT_GE(dropped, 1u);
+
+  // matching(6) meets trivial pivots, and its seeded searches then trim
+  // work sets on demand.
+  std::size_t trimmingSeeded = 0;
+  for (const SccDetectionSpan& d : tracedMatchingDetections(6)) {
+    if (d.seeded) {
+      trimmingSeeded += d.trims > 0 ? 1 : 0;
+    } else {
+      EXPECT_EQ(d.dropped, 0u);
+      EXPECT_EQ(d.trims, 1u);
+    }
+  }
+  EXPECT_GE(trimmingSeeded, 1u);
 }
 
 }  // namespace
